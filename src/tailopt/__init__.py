@@ -34,12 +34,7 @@ from .solvers import (
     SolverConfig,
     SolverResult,
     Termination,
-    accelerated_gradient,
-    dual_averaging,
-    gradient_descent,
-    lbfgs,
     run_solver,
-    subgradient_method,
     tune_initial_step,
 )
 from .dataio import (
@@ -73,18 +68,14 @@ __all__ = [
     "SolverResult",
     "SyntheticSpec",
     "Termination",
-    "accelerated_gradient",
     "append_intercept",
     "batch_losses",
     "check_dual_weights",
-    "dual_averaging",
     "exact_oracle",
     "exact_subgradient_weights",
     "generate_low_rank",
     "generate_targets",
-    "gradient_descent",
     "jacobian_transpose_apply",
-    "lbfgs",
     "load_csv",
     "ols_closed_form",
     "quantile",
@@ -94,7 +85,6 @@ __all__ = [
     "smoothed_oracle",
     "smoothed_weights_entropic",
     "smoothed_weights_euclidean",
-    "subgradient_method",
     "superquantile",
     "theta_prime",
     "train_test_split",

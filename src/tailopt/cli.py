@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, RiskParams
+from .core import Dataset, EvaluationError, RiskParams
 from .dataio import (
     DataFormatError,
     SyntheticSpec,
@@ -44,7 +44,7 @@ REPORT_LEVELS = (0.5, 0.9)
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj), flush=True)
+    print(json.dumps(obj, allow_nan=False), flush=True)
 
 
 def _info(msg: str) -> None:
@@ -239,9 +239,14 @@ def cmd_train(args) -> int:
 
 def _load_model(path):
     with open(path) as fh:
-        model = json.load(fh)
-    w = np.asarray(model["weights"], dtype=float)
-    intercept = bool(model.get("config", {}).get("intercept", False))
+        try:
+            model = json.load(fh)
+            w = np.asarray(model["weights"], dtype=float)
+            intercept = bool(model.get("config", {}).get("intercept", False))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise DataFormatError(f"{path}: not a model file: {exc!r}") from exc
+    if w.ndim != 1 or not np.isfinite(w).all():
+        raise DataFormatError(f"{path}: weights must be a list of finite numbers")
     return w, intercept
 
 
@@ -250,6 +255,11 @@ def cmd_eval(args) -> int:
     data = load_csv(args.data, target_column=args.target_column)
     if intercept:
         data = append_intercept(data)
+    if w.size != data.d:
+        columns = f"{data.d} columns (intercept appended)" if intercept else f"{data.d} columns"
+        raise DataFormatError(
+            f"{args.model}: model has {w.size} weights but {args.data} gives {columns}"
+        )
     levels = [float(tok) for tok in args.levels.split(",") if tok.strip()]
     report = residual_quantile_report(w, data, levels)
     _emit(
@@ -398,6 +408,9 @@ def main(argv=None) -> int:
     except (DataFormatError, FileNotFoundError, OSError) as exc:
         _info(f"error: {exc}")
         return EXIT_IO
+    except EvaluationError as exc:
+        _info(f"error: {exc}")
+        return EXIT_SOLVER
     except ValueError as exc:
         _info(f"error: {exc}")
         return EXIT_FLAGS

@@ -164,12 +164,14 @@ def smoothed_weights_entropic(losses, p: float, mu: float) -> SmoothedOracleOutp
     k = np.arange(n)
     rem = 1.0 - k * cap  # mass left for the uncapped block when k are capped
     valid = rem > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logc = np.where(valid, np.log(np.where(valid, rem, 1.0)) - T, np.inf)
+    log_rem = np.log(np.where(valid, rem, 1.0))
+    logc = np.where(valid, log_rem - T, np.inf)
     log_cap = np.log(cap)
     # The tolerance absorbs rounding of 1 - k*cap near the critical count,
     # where the exact margin is zero; accepted overshoot is clipped below.
-    feasible = valid & (logc + ss <= log_cap + 1e-9)
+    # T - ss is formed first: logc + ss would add two numbers of size |L/mu|
+    # and lose the margin to rounding once |L/mu| reaches about 1e10.
+    feasible = valid & (log_rem - (T - ss) <= log_cap + 1e-9)
     if not feasible.any():
         raise AssertionError("no feasible cap count; unreachable for p > 0")
     kstar = int(np.argmax(feasible))

@@ -1,24 +1,36 @@
-"""Batch first-order solvers sharing one termination and tracing contract.
+"""Batch first-order solvers: one driver loop over per-method step generators.
 
-Every solver consumes an oracle closure ``w -> (value, gradient)`` and a
-:class:`SolverConfig`, and returns a :class:`SolverResult` whose solution is
-the evaluated iterate with the lowest recorded objective (subgradient-type and
-accelerated methods are not descent methods, so last-iterate would be wrong).
+:func:`run_solver` takes an oracle closure ``w -> (value, gradient)`` and a
+:class:`SolverConfig`, and runs the method named by ``config.algorithm``.
+Each method is a step generator ``(oracle, x0, config)`` that yields its
+evaluated iterates ``(x, f, g)`` one at a time, starting with ``x0``; it only
+decides where to evaluate next.  A generator that returns has failed its line
+search.  The driver alone counts oracle calls, checks that each yielded value
+and gradient are finite, records the objective trace and runs the stopping
+tests.  Because a generator is only resumed when the run goes on, no method
+spends oracle calls after its last recorded iterate.
 
-Stopping tests run in the order: gradient norm, best-objective stall, then the
-iteration budget.  The stall test compares the running best objective against
-its value ten recorded iterations earlier; ``f_tol = 0`` disables it, since a
-literal zero-improvement test would stop any oscillating method almost
-immediately.
+The returned solution is the evaluated iterate with the lowest recorded
+objective (subgradient-type and accelerated methods are not descent methods,
+so last-iterate would be wrong).
+
+Stopping tests run after each recorded iterate in the order: gradient norm,
+best-objective stall, then the iteration budget.  Since ``grad_tol >= 0``, an
+exactly zero gradient always stops the run.  The stall test compares the
+running best objective against its value ten recorded iterations earlier;
+``f_tol = 0`` disables it, since a literal zero-improvement test would stop
+any oscillating method almost immediately.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -30,21 +42,18 @@ __all__ = [
     "SolverResult",
     "Termination",
     "TuneStepWarning",
-    "accelerated_gradient",
-    "dual_averaging",
-    "gradient_descent",
-    "lbfgs",
     "nesterov_alpha_next",
     "run_solver",
-    "subgradient_method",
     "tune_initial_step",
 ]
 
 Oracle = Callable[[np.ndarray], tuple[float, np.ndarray]]
+Steps = Iterator[tuple[np.ndarray, float, np.ndarray]]
 
 _STALL_WINDOW = 10
 _ARMIJO_C = 1e-4
 _MAX_HALVINGS = 50
+_LBFGS_MEMORY = 10
 
 
 class Algorithm(str, Enum):
@@ -81,7 +90,6 @@ class SolverConfig:
     grad_tol: float = 1e-8
     f_tol: float = 1e-10
     step_size: float | str = "auto"
-    lbfgs_memory: int = 10
     initial_point: np.ndarray | None = None
     dim: int | None = None
 
@@ -96,8 +104,6 @@ class SolverConfig:
                 raise ValueError(f"step_size must be positive or 'auto', got {self.step_size!r}")
         elif not self.step_size > 0.0:
             raise ValueError(f"step_size must be positive, got {self.step_size}")
-        if self.lbfgs_memory < 1:
-            raise ValueError(f"lbfgs_memory must be >= 1, got {self.lbfgs_memory}")
 
     def start_point(self) -> np.ndarray:
         if self.initial_point is not None:
@@ -116,60 +122,8 @@ class SolverResult:
 
     solution: np.ndarray
     objective_trace: np.ndarray
-    iterate_trace: list[np.ndarray]
     termination: Termination
     oracle_calls: int
-
-
-class _Tracker:
-    """Records evaluated iterates, the running best, and the stall window."""
-
-    def __init__(self):
-        self.trace: list[float] = []
-        self.iterates: list[np.ndarray] = []
-        self.best_f = math.inf
-        self.best_x: np.ndarray | None = None
-        self._best_hist: list[float] = []
-
-    def record(self, x: np.ndarray, f: float) -> None:
-        self.trace.append(f)
-        self.iterates.append(x.copy())
-        if f < self.best_f:
-            self.best_f = f
-            self.best_x = x.copy()
-        self._best_hist.append(self.best_f)
-
-    def stalled(self, f_tol: float) -> bool:
-        if f_tol <= 0.0 or len(self._best_hist) <= _STALL_WINDOW:
-            return False
-        return self._best_hist[-_STALL_WINDOW - 1] - self._best_hist[-1] <= f_tol
-
-    def result(self, termination: Termination, calls: int) -> SolverResult:
-        return SolverResult(
-            solution=self.best_x.copy(),
-            objective_trace=np.asarray(self.trace),
-            iterate_trace=self.iterates,
-            termination=termination,
-            oracle_calls=calls,
-        )
-
-
-def _counting(oracle: Oracle):
-    calls = [0]
-
-    def wrapped(w: np.ndarray) -> tuple[float, np.ndarray]:
-        calls[0] += 1
-        f, g = oracle(w)
-        return float(f), np.asarray(g, dtype=float)
-
-    return wrapped, calls
-
-
-def _check_finite(f: float, g: np.ndarray, k: int, tracker: _Tracker):
-    if not (np.isfinite(f) and np.isfinite(g).all()):
-        err = EvaluationError(f"non-finite oracle output at iteration {k}")
-        err.objective_trace = list(tracker.trace)
-        raise err
 
 
 def tune_initial_step(oracle: Oracle, x0) -> float:
@@ -193,98 +147,78 @@ def tune_initial_step(oracle: Oracle, x0) -> float:
     return base * 2.0**-20
 
 
-def subgradient_method(oracle: Oracle, config: SolverConfig) -> SolverResult:
+def _step_or_tune(oracle: Oracle, x: np.ndarray, config: SolverConfig) -> float:
+    """The configured step, or the step tuned at ``x`` when it is ``"auto"``."""
+    if isinstance(config.step_size, str):
+        return tune_initial_step(oracle, x)
+    return config.step_size
+
+
+def _backtrack(oracle: Oracle, x: np.ndarray, f: float, d: np.ndarray, slope: float, t0: float):
+    """Armijo backtracking along ``d`` from step ``t0``, halving on rejection.
+
+    ``slope`` is the directional derivative g @ d.  Returns the accepted
+    ``(x, f, g)``, or None when every halving is rejected.
+    """
+    t = t0
+    for _ in range(_MAX_HALVINGS + 1):
+        x_trial = x + t * d
+        f_trial, g_trial = oracle(x_trial)
+        if np.isfinite(f_trial) and f_trial <= f + _ARMIJO_C * t * slope:
+            return x_trial, f_trial, g_trial
+        t *= 0.5
+    return None
+
+
+def _subgradient(oracle: Oracle, x: np.ndarray, config: SolverConfig) -> Steps:
     """Fixed-schedule subgradient descent, step a / sqrt(k + 1)."""
-    x = config.start_point()
-    oracle, calls = _counting(oracle)
-    alpha = None if isinstance(config.step_size, str) else config.step_size
-    tr = _Tracker()
-    termination = Termination.MAX_ITERS
-    for k in range(config.max_iters):
+    alpha = None
+    for k in itertools.count():
         f, g = oracle(x)
-        _check_finite(f, g, k, tr)
-        tr.record(x, f)
-        if np.linalg.norm(g) <= config.grad_tol:
-            termination = Termination.GRAD_TOL
-            break
-        if tr.stalled(config.f_tol):
-            termination = Termination.F_TOL
-            break
+        yield x, f, g
         if alpha is None:
-            alpha = tune_initial_step(oracle, x)
+            alpha = _step_or_tune(oracle, x, config)
         x = x - (alpha / math.sqrt(k + 1)) * g
-    return tr.result(termination, calls[0])
 
 
-def dual_averaging(oracle: Oracle, config: SolverConfig) -> SolverResult:
+def _dual_averaging(oracle: Oracle, x0: np.ndarray, config: SolverConfig) -> Steps:
     """Weighted dual averaging with normalized subgradients.
 
     Maintains s_{k+1} = sum of g_i / ||g_i|| and maps it back through a
     sqrt(k+1) divisor: x_{k+1} = x0 - s_{k+1} / (a * sqrt(k+1)).  The scale a
     is set so that the first move has the length of the tuned (or configured)
-    raw gradient step; exactly zero subgradients terminate the run instead of
-    entering the sum.
+    raw gradient step.  Zero subgradients never enter the sum: the driver's
+    gradient test stops the run first.
     """
-    x0 = config.start_point()
-    x = x0.copy()
-    oracle, calls = _counting(oracle)
+    x = x0
     s = np.zeros_like(x0)
     a = None
-    tr = _Tracker()
-    termination = Termination.MAX_ITERS
-    for k in range(config.max_iters):
+    for k in itertools.count():
         f, g = oracle(x)
-        _check_finite(f, g, k, tr)
-        tr.record(x, f)
+        yield x, f, g
         gnorm = float(np.linalg.norm(g))
-        if gnorm <= config.grad_tol or gnorm == 0.0:
-            termination = Termination.GRAD_TOL
-            break
-        if tr.stalled(config.f_tol):
-            termination = Termination.F_TOL
-            break
         if a is None:
-            step = (
-                config.step_size
-                if not isinstance(config.step_size, str)
-                else tune_initial_step(oracle, x0)
-            )
-            a = 1.0 / (step * gnorm)
+            a = 1.0 / (_step_or_tune(oracle, x0, config) * gnorm)
         s = s + g / gnorm
         x = x0 - s / (a * math.sqrt(k + 1))
-    return tr.result(termination, calls[0])
 
 
-def gradient_descent(oracle: Oracle, config: SolverConfig) -> SolverResult:
-    """Gradient descent with Armijo backtracking from a fixed trial step."""
-    x = config.start_point()
-    oracle, calls = _counting(oracle)
-    alpha = None if isinstance(config.step_size, str) else config.step_size
-    tr = _Tracker()
-    termination = Termination.MAX_ITERS
-    for k in range(config.max_iters):
-        f, g = oracle(x)
-        _check_finite(f, g, k, tr)
-        tr.record(x, f)
-        if np.linalg.norm(g) <= config.grad_tol:
-            termination = Termination.GRAD_TOL
-            break
-        if tr.stalled(config.f_tol):
-            termination = Termination.F_TOL
-            break
+def _gradient_descent(oracle: Oracle, x: np.ndarray, config: SolverConfig) -> Steps:
+    """Gradient descent with Armijo backtracking from a fixed trial step.
+
+    The point the line search accepts is the next iterate, so its oracle
+    output is reused rather than evaluated again.
+    """
+    f, g = oracle(x)
+    alpha = None
+    while True:
+        yield x, f, g
         if alpha is None:
-            alpha = tune_initial_step(oracle, x)
-        gg = float(g @ g)
-        t = alpha
-        for _ in range(_MAX_HALVINGS + 1):
-            f_trial, _ = oracle(x - t * g)
-            if np.isfinite(f_trial) and f_trial <= f - _ARMIJO_C * t * gg:
-                break
-            t *= 0.5
-        else:
-            return tr.result(Termination.LINE_SEARCH_FAILURE, calls[0])
-        x = x - t * g
-    return tr.result(termination, calls[0])
+            alpha = _step_or_tune(oracle, x, config)
+        accepted = _backtrack(oracle, x, f, -g, -float(g @ g), alpha)
+        if accepted is None:
+            return
+        x, f, g = accepted
 
 
 def nesterov_alpha_next(alpha: float) -> float:
@@ -292,44 +226,35 @@ def nesterov_alpha_next(alpha: float) -> float:
     return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * alpha * alpha))
 
 
-def accelerated_gradient(oracle: Oracle, config: SolverConfig) -> SolverResult:
+def _accelerated_gradient(oracle: Oracle, x0: np.ndarray, config: SolverConfig) -> Steps:
     """Accelerated gradient with the standard momentum sequence.
 
     x_{s+1} = y_s - step * grad(y_s), then y_{s+1} extrapolates x_{s+1} past
     x_s with coefficient (a_s - 1) / a_{s+1}, where a starts at 1 and follows
     :func:`nesterov_alpha_next` (so the second value is the golden ratio).
-    With an auto step the tuned step is halved: the tuner approximates the
-    largest still-decreasing step while the scheme wants the inverse of the
-    gradient's Lipschitz constant, about half of that.
+    The recorded iterates are the y_s.  With an auto step the tuned step is
+    halved: the tuner approximates the largest still-decreasing step while the
+    scheme wants the inverse of the gradient's Lipschitz constant, about half
+    of that.
     """
-    x_prev = config.start_point()
-    y = x_prev.copy()
-    oracle, calls = _counting(oracle)
-    step = None if isinstance(config.step_size, str) else config.step_size
+    x_prev = y = x0
     a_cur = 1.0
-    tr = _Tracker()
-    termination = Termination.MAX_ITERS
-    for k in range(config.max_iters):
+    step = None
+    while True:
         f, g = oracle(y)
-        _check_finite(f, g, k, tr)
-        tr.record(y, f)
-        if np.linalg.norm(g) <= config.grad_tol:
-            termination = Termination.GRAD_TOL
-            break
-        if tr.stalled(config.f_tol):
-            termination = Termination.F_TOL
-            break
+        yield y, f, g
         if step is None:
-            step = 0.5 * tune_initial_step(oracle, x_prev)
+            step = _step_or_tune(oracle, x_prev, config)
+            if isinstance(config.step_size, str):
+                step *= 0.5
         x_next = y - step * g
         a_next = nesterov_alpha_next(a_cur)
         y = x_next + ((a_cur - 1.0) / a_next) * (x_next - x_prev)
         x_prev = x_next
         a_cur = a_next
-    return tr.result(termination, calls[0])
 
 
-def _two_loop(g: np.ndarray, memory: list[tuple[np.ndarray, np.ndarray, float]]) -> np.ndarray:
+def _two_loop(g: np.ndarray, memory: deque[tuple[np.ndarray, np.ndarray, float]]) -> np.ndarray:
     q = g.copy()
     alphas = []
     for s, yv, rho in reversed(memory):
@@ -345,8 +270,8 @@ def _two_loop(g: np.ndarray, memory: list[tuple[np.ndarray, np.ndarray, float]])
     return -q
 
 
-def lbfgs(oracle: Oracle, config: SolverConfig) -> SolverResult:
-    """Limited-memory BFGS with Armijo backtracking.
+def _lbfgs(oracle: Oracle, x: np.ndarray, config: SolverConfig) -> Steps:
+    """Limited-memory BFGS (memory 10) with Armijo backtracking from t = 1.
 
     Curvature pairs with s @ y <= 1e-12 * ||s|| ||y|| are discarded, and the
     search direction falls back to steepest descent whenever the two-loop
@@ -354,34 +279,10 @@ def lbfgs(oracle: Oracle, config: SolverConfig) -> SolverResult:
     quasi-Newton direction, the memory is cleared and the step retried once
     along the raw negative gradient before failure is reported.
     """
-    x = config.start_point()
-    oracle, calls = _counting(oracle)
-    memory: list[tuple[np.ndarray, np.ndarray, float]] = []
-    tr = _Tracker()
+    memory: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=_LBFGS_MEMORY)
     f, g = oracle(x)
-    _check_finite(f, g, 0, tr)
-    tr.record(x, f)
-    termination = Termination.MAX_ITERS
-
-    def backtrack(d: np.ndarray, slope: float):
-        t = 1.0
-        for _ in range(_MAX_HALVINGS + 1):
-            x_trial = x + t * d
-            f_trial, g_trial = oracle(x_trial)
-            if np.isfinite(f_trial) and f_trial <= f + _ARMIJO_C * t * slope:
-                return x_trial, f_trial, g_trial
-            t *= 0.5
-        return None
-
     while True:
-        if np.linalg.norm(g) <= config.grad_tol:
-            termination = Termination.GRAD_TOL
-            break
-        if tr.stalled(config.f_tol):
-            termination = Termination.F_TOL
-            break
-        if len(tr.trace) >= config.max_iters:
-            break
+        yield x, f, g
         d = _two_loop(g, memory)
         slope = float(g @ d)
         used_memory = bool(memory)
@@ -389,36 +290,75 @@ def lbfgs(oracle: Oracle, config: SolverConfig) -> SolverResult:
             d = -g
             slope = -float(g @ g)
             used_memory = False
-        accepted = backtrack(d, slope)
+        accepted = _backtrack(oracle, x, f, d, slope, 1.0)
         if accepted is None and used_memory:
             memory.clear()
-            accepted = backtrack(-g, -float(g @ g))
+            accepted = _backtrack(oracle, x, f, -g, -float(g @ g), 1.0)
         if accepted is None:
-            termination = Termination.LINE_SEARCH_FAILURE
-            break
+            return
         x_new, f_new, g_new = accepted
-        _check_finite(f_new, g_new, len(tr.trace), tr)
-        tr.record(x_new, f_new)
         s = x_new - x
         yv = g_new - g
         sy = float(s @ yv)
         if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
             memory.append((s, yv, 1.0 / sy))
-            if len(memory) > config.lbfgs_memory:
-                memory.pop(0)
         x, f, g = x_new, f_new, g_new
-    return tr.result(termination, calls[0])
 
 
-_DISPATCH = {
-    Algorithm.SUBGRADIENT: subgradient_method,
-    Algorithm.DUAL_AVERAGING: dual_averaging,
-    Algorithm.GRADIENT_DESCENT: gradient_descent,
-    Algorithm.ACCELERATED_GRADIENT: accelerated_gradient,
-    Algorithm.LBFGS: lbfgs,
+_STEPS: dict[Algorithm, Callable[[Oracle, np.ndarray, SolverConfig], Steps]] = {
+    Algorithm.SUBGRADIENT: _subgradient,
+    Algorithm.DUAL_AVERAGING: _dual_averaging,
+    Algorithm.GRADIENT_DESCENT: _gradient_descent,
+    Algorithm.ACCELERATED_GRADIENT: _accelerated_gradient,
+    Algorithm.LBFGS: _lbfgs,
 }
 
 
 def run_solver(oracle: Oracle, config: SolverConfig) -> SolverResult:
-    """Dispatch to the solver named by ``config.algorithm``."""
-    return _DISPATCH[Algorithm(config.algorithm)](oracle, config)
+    """Minimize with the method named by ``config.algorithm``.
+
+    Raises :class:`EvaluationError` at the first non-finite value or gradient
+    among the yielded iterates; its ``objective_trace`` attribute holds the
+    objectives recorded before it.
+    """
+    calls = 0
+
+    def counted(w: np.ndarray) -> tuple[float, np.ndarray]:
+        nonlocal calls
+        calls += 1
+        f, g = oracle(w)
+        return float(f), np.asarray(g, dtype=float)
+
+    trace: list[float] = []
+    best_f, best_x = math.inf, None
+    best_hist: deque[float] = deque(maxlen=_STALL_WINDOW + 1)
+    for x, f, g in _STEPS[Algorithm(config.algorithm)](counted, config.start_point(), config):
+        if not (np.isfinite(f) and np.isfinite(g).all()):
+            err = EvaluationError(f"non-finite oracle output at iteration {len(trace)}")
+            err.objective_trace = trace
+            raise err
+        trace.append(f)
+        if f < best_f:
+            best_f, best_x = f, x.copy()
+        best_hist.append(best_f)
+        if np.linalg.norm(g) <= config.grad_tol:
+            termination = Termination.GRAD_TOL
+        elif (
+            config.f_tol > 0.0
+            and len(best_hist) > _STALL_WINDOW
+            and best_hist[0] - best_f <= config.f_tol
+        ):
+            termination = Termination.F_TOL
+        elif len(trace) >= config.max_iters:
+            termination = Termination.MAX_ITERS
+        else:
+            continue
+        break
+    else:  # the step generator returned
+        termination = Termination.LINE_SEARCH_FAILURE
+    return SolverResult(
+        solution=best_x,
+        objective_trace=np.asarray(trace),
+        termination=termination,
+        oracle_calls=calls,
+    )

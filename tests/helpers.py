@@ -242,3 +242,22 @@ def quadratic_oracle(A: np.ndarray, b: np.ndarray):
         return float(0.5 * w @ A @ w - b @ w), g
 
     return oracle, w_star, f_star
+
+
+class RecordingOracle:
+    """Wraps an oracle and keeps a copy of every point it is called at, with its value.
+
+    With a fixed step the solvers make no tuning or line-search calls, so
+    ``points`` is then exactly the sequence of recorded iterates.
+    """
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.points: list[np.ndarray] = []
+        self.values: list[float] = []
+
+    def __call__(self, w):
+        f, g = self.oracle(w)
+        self.points.append(np.array(w, dtype=float))
+        self.values.append(float(f))
+        return f, g

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tailopt
 from tailopt.cli import main
 from tailopt.core import Dataset
 from tailopt.dataio import load_csv, residual_quantile_report, save_csv
@@ -18,6 +21,18 @@ def run_cli(capsys, argv):
     out = capsys.readouterr()
     lines = [json.loads(line) for line in out.out.splitlines() if line.strip()]
     return code, lines, out.err
+
+
+def run_module(argv):
+    """Run ``python -m tailopt.cli`` with the package under test importable."""
+    src = str(Path(tailopt.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "tailopt.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def write_consistent_csv(tmp_path, seed=0, n=60, d=4, name="data.csv"):
@@ -147,7 +162,6 @@ class TestTrain:
             return SolverResult(
                 solution=np.zeros(5),
                 objective_trace=np.array([1.0]),
-                iterate_trace=[np.zeros(5)],
                 termination=Termination.LINE_SEARCH_FAILURE,
                 oracle_calls=1,
             )
@@ -158,6 +172,17 @@ class TestTrain:
             ["train", "--data", str(data), "--out", str(tmp_path / "m.json")],
         )
         assert code == 4
+
+    def test_nonfinite_losses_exit_solver_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        data = tmp_path / "huge.csv"
+        save_csv(Dataset(1e160 * rng.standard_normal((30, 3)), rng.standard_normal(30)), data)
+        code, lines, err = run_cli(
+            capsys, ["train", "--data", str(data), "--out", str(tmp_path / "m.json")]
+        )
+        assert code == 4
+        assert lines == []
+        assert err.startswith("error: ")
 
     def test_missing_data_file_is_io_error(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -211,6 +236,47 @@ class TestEval:
         assert code == 0
         assert lines[-1]["levels"] == [0.1, 0.5, 0.9]
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"weights": [1.0, ', '{"config": {}}', '{"weights": [0, 0, 0, 0], "config": 3}'],
+    )
+    def test_malformed_model_json_is_io_error(self, tmp_path, capsys, text):
+        data, _ = write_consistent_csv(tmp_path)
+        model = tmp_path / "m.json"
+        model.write_text(text)
+        code, lines, err = run_cli(capsys, ["eval", "--model", str(model), "--data", str(data)])
+        assert code == 3
+        assert lines == []
+        assert str(model) in err
+
+    def test_nonfinite_model_weights_are_io_error(self, tmp_path, capsys):
+        data, _ = write_consistent_csv(tmp_path)
+        model = tmp_path / "m.json"
+        model.write_text('{"weights": [NaN, 0.0, 0.0, 0.0]}')
+        code, lines, err = run_cli(capsys, ["eval", "--model", str(model), "--data", str(data)])
+        assert code == 3
+        assert lines == []
+        assert str(model) in err
+
+    def test_dimension_mismatch_names_file_and_dimensions(self, tmp_path, capsys):
+        data, _ = write_consistent_csv(tmp_path)  # 4 feature columns
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps({"weights": [0.0, 0.0, 0.0]}))
+        code, lines, err = run_cli(capsys, ["eval", "--model", str(model), "--data", str(data)])
+        assert code == 3
+        assert lines == []
+        assert str(model) in err and str(data) in err
+        assert "3 weights" in err and "4 columns" in err
+
+    def test_overflowing_residuals_keep_stdout_json(self, tmp_path, capsys):
+        data, _ = write_consistent_csv(tmp_path)
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps({"weights": [1e300, 1e300, 1e300, 1e300]}))
+        code, lines, err = run_cli(capsys, ["eval", "--model", str(model), "--data", str(data)])
+        assert code != 0
+        assert lines == []
+        assert "error" in err
+
     def test_matches_library_report(self, tmp_path, capsys):
         rng = np.random.default_rng(11)
         ds = random_lsq_dataset(11, n=40, d=3)
@@ -251,6 +317,20 @@ class TestExperiment:
         assert results[0] == "model,mean,q0.5,q0.9"
         assert len(results) == 5
 
+    @pytest.mark.parametrize("algorithm", ["gradient_descent", "accelerated_gradient"])
+    def test_entropic_unit_mu_with_tuned_steps(self, tmp_path, capsys, algorithm):
+        # The step tuner probes long steps, which drive loss/mu past 1e10.
+        code, lines, _ = run_cli(
+            capsys,
+            [
+                "experiment", "--seed", "0", "--n", "400", "--d", "10", "--rank", "5",
+                "--test-n", "50", "--max-iters", "20", "--penalty", "entropic", "--mu", "1",
+                "--algorithm", algorithm, "--out-dir", str(tmp_path / "exp"),
+            ],
+        )
+        assert code == 0
+        assert len(lines[-1]["rows"]) == 4
+
     def test_same_seed_reproduces_results(self, tmp_path, capsys):
         args = [
             "experiment", "--seed", "3", "--n", "300", "--d", "8", "--rank", "4",
@@ -268,23 +348,15 @@ class TestExperiment:
 class TestScriptability:
     def test_stdout_is_json_only_in_subprocess(self, tmp_path):
         data, _ = write_consistent_csv(tmp_path)
-        train = subprocess.run(
-            [
-                sys.executable, "-m", "tailopt.cli", "train",
-                "--data", str(data), "--out", str(tmp_path / "m.json"), "--objective", "erm",
-            ],
-            capture_output=True,
-            text=True,
+        train = run_module(
+            ["train", "--data", str(data), "--out", str(tmp_path / "m.json"), "--objective", "erm"]
         )
         assert train.returncode == 0
-        ev = subprocess.run(
+        ev = run_module(
             [
-                sys.executable, "-m", "tailopt.cli", "eval",
-                "--model", str(tmp_path / "m.json"), "--data", str(data),
+                "eval", "--model", str(tmp_path / "m.json"), "--data", str(data),
                 "--levels", "0.5,0.9",
-            ],
-            capture_output=True,
-            text=True,
+            ]
         )
         assert ev.returncode == 0
         for line in ev.stdout.splitlines():
@@ -292,12 +364,7 @@ class TestScriptability:
         assert "metric" in ev.stderr
 
     def test_missing_file_exit_code_in_subprocess(self, tmp_path):
-        ev = subprocess.run(
-            [
-                sys.executable, "-m", "tailopt.cli", "eval",
-                "--model", str(tmp_path / "m.json"), "--data", str(tmp_path / "x.csv"),
-            ],
-            capture_output=True,
-            text=True,
+        ev = run_module(
+            ["eval", "--model", str(tmp_path / "m.json"), "--data", str(tmp_path / "x.csv")]
         )
         assert ev.returncode == 3

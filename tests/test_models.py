@@ -9,7 +9,7 @@ from tailopt.models import (
     ols_closed_form,
 )
 from tailopt.smoothing import smoothed_oracle
-from tailopt.solvers import SolverConfig, lbfgs
+from tailopt.solvers import SolverConfig, run_solver
 from tailopt.superquantile import exact_oracle
 
 from helpers import central_difference_gradient, random_lsq_dataset
@@ -148,7 +148,7 @@ class TestOlsClosedForm:
         def oracle(w):
             return smoothed_oracle(loss, ds, w, params)
 
-        result = lbfgs(
+        result = run_solver(
             oracle,
             SolverConfig(algorithm="lbfgs", max_iters=500, grad_tol=1e-12, f_tol=0.0, dim=5),
         )

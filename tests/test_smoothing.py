@@ -172,6 +172,14 @@ class TestEntropicSubroutine:
         # Mass concentrates on the largest loss up to the cap.
         assert out.weights[2] == pytest.approx(cap)
 
+    @pytest.mark.parametrize("scale", [1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15])
+    def test_cap_count_found_at_extreme_loss_to_mu_ratio(self, scale):
+        # The step tuner's long trial steps drive losses this high.
+        L = scale * np.random.default_rng(0).standard_normal(200)
+        out = smoothed_weights_entropic(L, 0.9, 1.0)
+        # The sum is accurate only to about 1e-4 at these ratios.
+        check_dual_weights(out.weights, 1.0 / (200 * 0.1), sum_tol=1e-3)
+
     def test_caps_bind_progressively(self):
         # Small mu concentrates the softmax; the cap forces spreading.
         L = np.array([5.0, 4.0, 0.0, -1.0, -2.0])

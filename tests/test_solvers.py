@@ -9,18 +9,13 @@ from tailopt.solvers import (
     SolverConfig,
     Termination,
     TuneStepWarning,
-    accelerated_gradient,
-    dual_averaging,
-    gradient_descent,
-    lbfgs,
     nesterov_alpha_next,
     run_solver,
-    subgradient_method,
     tune_initial_step,
 )
 from tailopt.superquantile import exact_oracle
 
-from helpers import AbsoluteDeviationLoss, quadratic_oracle, random_lsq_dataset
+from helpers import AbsoluteDeviationLoss, RecordingOracle, quadratic_oracle, random_lsq_dataset
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -85,14 +80,14 @@ class TestSubgradientMethod:
         cfg = SolverConfig(
             algorithm="subgradient", max_iters=10000, f_tol=0.0, initial_point=np.array([1.0])
         )
-        r = subgradient_method(oracle, cfg)
+        r = run_solver(oracle, cfg)
         assert r.objective_trace.min() <= 1e-2
         assert len(r.objective_trace) <= 10000
 
     def test_zero_gradient_start(self):
         oracle = lambda w: (0.0, np.zeros(2))
         x0 = np.array([3.0, -1.0])
-        r = subgradient_method(
+        r = run_solver(
             oracle, SolverConfig(algorithm="subgradient", max_iters=50, initial_point=x0)
         )
         assert r.termination is Termination.GRAD_TOL
@@ -103,12 +98,12 @@ class TestSubgradientMethod:
         ds, exact, _ = tail_toy(mu=1e-4)
         loss = LinearLeastSquares()
         params = RiskParams(p=0.9, mu=1e-4)
-        ref = lbfgs(
+        ref = run_solver(
             lambda w: smoothed_oracle(loss, ds, w, params),
             SolverConfig(algorithm="lbfgs", max_iters=300, grad_tol=1e-10, f_tol=0.0, dim=5),
         )
         f_ref = exact(ref.solution)[0]
-        r = subgradient_method(
+        r = run_solver(
             exact,
             SolverConfig(
                 algorithm="subgradient", max_iters=30000, grad_tol=0.0, f_tol=0.0, dim=5
@@ -130,14 +125,14 @@ class TestSubgradientMethod:
             initial_point=np.array([1.0]),
         )
         with pytest.raises(EvaluationError) as err:
-            subgradient_method(oracle, cfg)
+            run_solver(oracle, cfg)
         assert len(err.value.objective_trace) >= 1
 
 
 class TestDualAveraging:
     def test_constant_gradient_closed_form(self):
         g_const = np.array([3.0, 4.0])
-        oracle = lambda w: (float(g_const @ w), g_const.copy())
+        oracle = RecordingOracle(lambda w: (float(g_const @ w), g_const.copy()))
         step = 0.1
         cfg = SolverConfig(
             algorithm="dual_averaging",
@@ -147,16 +142,17 @@ class TestDualAveraging:
             step_size=step,
             initial_point=np.zeros(2),
         )
-        r = dual_averaging(oracle, cfg)
+        r = run_solver(oracle, cfg)
+        assert len(oracle.points) == len(r.objective_trace) == 6  # fixed step: no tuning calls
         ghat = g_const / np.linalg.norm(g_const)
         a = 1.0 / (step * np.linalg.norm(g_const))
         for k in range(1, 6):
             # s_k = k * ghat, so the iterate sits sqrt(k)/a along -ghat.
             expect = -(k / (a * np.sqrt(k))) * ghat
-            assert np.allclose(r.iterate_trace[k], expect, atol=1e-14)
+            assert np.allclose(oracle.points[k], expect, atol=1e-14)
 
     def test_abs_toy_converges(self):
-        r = dual_averaging(
+        r = run_solver(
             abs_toy_oracle(),
             SolverConfig(
                 algorithm="dual_averaging", max_iters=10000, f_tol=0.0, initial_point=np.array([1.0])
@@ -166,7 +162,7 @@ class TestDualAveraging:
 
     def test_zero_gradient_terminates(self):
         oracle = lambda w: (0.0, np.zeros(1))
-        r = dual_averaging(
+        r = run_solver(
             oracle,
             SolverConfig(algorithm="dual_averaging", max_iters=10, grad_tol=0.0, dim=1),
         )
@@ -176,12 +172,12 @@ class TestDualAveraging:
         ds, exact, _ = tail_toy(mu=1e-4)
         loss = LinearLeastSquares()
         params = RiskParams(p=0.9, mu=1e-4)
-        ref = lbfgs(
+        ref = run_solver(
             lambda w: smoothed_oracle(loss, ds, w, params),
             SolverConfig(algorithm="lbfgs", max_iters=300, grad_tol=1e-10, f_tol=0.0, dim=5),
         )
         f_ref = exact(ref.solution)[0]
-        r = dual_averaging(
+        r = run_solver(
             exact,
             SolverConfig(
                 algorithm="dual_averaging", max_iters=40000, grad_tol=0.0, f_tol=0.0, dim=5
@@ -201,13 +197,13 @@ class TestGradientDescent:
             step_size=1.0,
             initial_point=np.array([5.0]),
         )
-        r = gradient_descent(oracle, cfg)
+        r = run_solver(oracle, cfg)
         assert r.termination is Termination.GRAD_TOL
         assert len(r.objective_trace) <= 200
 
     def test_zero_gradient_start(self):
         oracle, _, _ = quadratic_oracle(np.eye(2), np.zeros(2))
-        r = gradient_descent(
+        r = run_solver(
             oracle, SolverConfig(algorithm="gradient_descent", max_iters=10, dim=2)
         )
         assert r.termination is Termination.GRAD_TOL
@@ -215,7 +211,7 @@ class TestGradientDescent:
 
     def test_monotone_trace_and_lbfgs_agreement(self):
         ds, exact, smooth = tail_toy()
-        gd = gradient_descent(
+        gd = run_solver(
             smooth,
             SolverConfig(
                 algorithm="gradient_descent", max_iters=4000, grad_tol=1e-9, f_tol=0.0, dim=5
@@ -223,10 +219,24 @@ class TestGradientDescent:
         )
         diffs = np.diff(gd.objective_trace)
         assert (diffs <= 1e-14).all()
-        ref = lbfgs(
+        ref = run_solver(
             smooth, SolverConfig(algorithm="lbfgs", max_iters=500, grad_tol=1e-8, f_tol=0.0, dim=5)
         )
         assert abs(gd.objective_trace.min() - ref.objective_trace.min()) <= 1e-6
+
+    def test_accepted_trial_is_not_evaluated_again(self):
+        # f = |w|^2/2 with step 1 lands on the minimizer in one trial; every
+        # oracle call is then a recorded iterate.
+        oracle, _, _ = quadratic_oracle(np.eye(2), np.zeros(2))
+        cfg = SolverConfig(
+            algorithm="gradient_descent",
+            max_iters=10,
+            step_size=1.0,
+            initial_point=np.array([3.0, -4.0]),
+        )
+        r = run_solver(oracle, cfg)
+        assert r.termination is Termination.GRAD_TOL
+        assert r.oracle_calls == len(r.objective_trace) == 2
 
     def test_line_search_failure_on_adversarial_oracle(self):
         # The reported gradient points away from descent: no halving helps.
@@ -239,7 +249,7 @@ class TestGradientDescent:
             step_size=1.0,
             initial_point=np.array([0.0]),
         )
-        r = gradient_descent(oracle, cfg)
+        r = run_solver(oracle, cfg)
         assert r.termination is Termination.LINE_SEARCH_FAILURE
 
     def test_f_tol_stall_detection(self):
@@ -252,7 +262,7 @@ class TestGradientDescent:
             step_size=1e-12,
             initial_point=np.array([1.0]),
         )
-        r = gradient_descent(oracle, cfg)
+        r = run_solver(oracle, cfg)
         assert r.termination is Termination.F_TOL
         assert len(r.objective_trace) == 11  # detected right after the window fills
 
@@ -268,7 +278,7 @@ class TestAcceleratedGradient:
     def test_scheme_matches_manual_unroll(self):
         A = np.diag([1.0, 0.25])
         b = np.array([0.5, -0.25])
-        oracle, _, _ = quadratic_oracle(A, b)
+        oracle = RecordingOracle(quadratic_oracle(A, b)[0])
         step = 0.7
         cfg = SolverConfig(
             algorithm="accelerated_gradient",
@@ -278,12 +288,13 @@ class TestAcceleratedGradient:
             step_size=step,
             initial_point=np.zeros(2),
         )
-        r = accelerated_gradient(oracle, cfg)
+        r = run_solver(oracle, cfg)
+        assert len(oracle.points) == len(r.objective_trace) == 6  # fixed step: no tuning calls
         x_prev = np.zeros(2)
         y = np.zeros(2)
         a_cur = 1.0
         for k in range(5):
-            assert np.allclose(r.iterate_trace[k], y, atol=1e-14)
+            assert np.allclose(oracle.points[k], y, atol=1e-14)
             g = A @ y - b
             x_next = y - step * g
             a_next = nesterov_alpha_next(a_cur)
@@ -300,7 +311,7 @@ class TestAcceleratedGradient:
             step_size=1.0,
             initial_point=np.array([2.0]),
         )
-        r = accelerated_gradient(oracle, cfg)
+        r = run_solver(oracle, cfg)
         assert r.termination is Termination.GRAD_TOL
         assert len(r.objective_trace) <= 100
 
@@ -309,7 +320,7 @@ class TestAcceleratedGradient:
         A = np.diag(np.logspace(-4, 0, d))  # condition number 1e4
         b = A @ np.ones(d)
         oracle, _, f_star = quadratic_oracle(A, b)
-        gd = gradient_descent(
+        gd = run_solver(
             oracle,
             SolverConfig(
                 algorithm="gradient_descent",
@@ -320,7 +331,7 @@ class TestAcceleratedGradient:
                 dim=d,
             ),
         )
-        agd = accelerated_gradient(
+        agd = run_solver(
             oracle,
             SolverConfig(
                 algorithm="accelerated_gradient",
@@ -353,7 +364,7 @@ class TestLbfgs:
         M = rng.standard_normal((d, d))
         A = M @ M.T + np.eye(d)
         oracle, _, _ = quadratic_oracle(A, np.zeros(d))
-        r = lbfgs(
+        r = run_solver(
             oracle,
             SolverConfig(
                 algorithm="lbfgs",
@@ -368,7 +379,7 @@ class TestLbfgs:
 
     def test_already_optimal_start(self):
         oracle, w_star, _ = quadratic_oracle(np.diag([2.0, 3.0]), np.array([1.0, 1.0]))
-        r = lbfgs(
+        r = run_solver(
             oracle,
             SolverConfig(algorithm="lbfgs", max_iters=50, grad_tol=1e-8, initial_point=w_star),
         )
@@ -378,11 +389,13 @@ class TestLbfgs:
 
     def test_tail_toy_reaches_tight_gradient(self):
         _, _, smooth = tail_toy()
-        r = lbfgs(
+        r = run_solver(
             smooth, SolverConfig(algorithm="lbfgs", max_iters=500, grad_tol=1e-8, f_tol=0.0, dim=5)
         )
         assert r.termination is Termination.GRAD_TOL
-        assert np.linalg.norm(smooth(r.iterate_trace[-1])[1]) <= 1e-8
+        # The Armijo trace strictly decreases, so the solution is the last iterate.
+        assert (np.diff(r.objective_trace) < 0.0).all()
+        assert np.linalg.norm(smooth(r.solution)[1]) <= 1e-8
 
     def test_synthetic_smoke_run_with_heavy_smoothing(self):
         from tailopt.dataio import SyntheticSpec, generate_low_rank, generate_targets, resolve_w_bar
@@ -394,7 +407,7 @@ class TestLbfgs:
         ds = Dataset(np.hstack([X, np.ones((spec.n, 1))]), y)
         loss = LinearLeastSquares()
         params = RiskParams(p=0.9, mu=1000.0, penalty="euclidean")
-        r = lbfgs(
+        r = run_solver(
             lambda w: smoothed_oracle(loss, ds, w, params),
             SolverConfig(algorithm="lbfgs", max_iters=300, grad_tol=1e-8, f_tol=0.0, dim=11),
         )
@@ -402,7 +415,7 @@ class TestLbfgs:
 
     def test_line_search_failure_on_adversarial_oracle(self):
         oracle = lambda w: (float(w[0]), np.array([-1.0]))
-        r = lbfgs(
+        r = run_solver(
             oracle,
             SolverConfig(
                 algorithm="lbfgs", max_iters=10, grad_tol=0.0, f_tol=0.0, initial_point=np.zeros(1)
@@ -411,37 +424,55 @@ class TestLbfgs:
         assert r.termination is Termination.LINE_SEARCH_FAILURE
 
 
+def iterate_points(r, rec: RecordingOracle) -> list[np.ndarray]:
+    """The evaluated points behind ``r.objective_trace``, matched in call order.
+
+    Fails unless the trace is a subsequence of the recorded oracle values.
+    """
+    points, j = [], 0
+    for f in r.objective_trace:
+        while rec.values[j] != f:
+            j += 1
+        points.append(rec.points[j])
+        j += 1
+    return points
+
+
 class TestSharedContract:
     def test_trace_invariants_all_solvers(self):
         ds, exact, smooth = tail_toy()
         budget = 60
         runs = [
-            subgradient_method(exact, SolverConfig(algorithm="subgradient", max_iters=budget, f_tol=0.0, dim=5)),
-            dual_averaging(exact, SolverConfig(algorithm="dual_averaging", max_iters=budget, f_tol=0.0, dim=5)),
-            gradient_descent(smooth, SolverConfig(algorithm="gradient_descent", max_iters=budget, f_tol=0.0, dim=5)),
-            accelerated_gradient(smooth, SolverConfig(algorithm="accelerated_gradient", max_iters=budget, f_tol=0.0, dim=5)),
-            lbfgs(smooth, SolverConfig(algorithm="lbfgs", max_iters=budget, f_tol=0.0, dim=5)),
+            ("subgradient", exact),
+            ("dual_averaging", exact),
+            ("gradient_descent", smooth),
+            ("accelerated_gradient", smooth),
+            ("lbfgs", smooth),
         ]
-        for r in runs:
+        for algo, oracle in runs:
+            rec = RecordingOracle(oracle)
+            r = run_solver(rec, SolverConfig(algorithm=algo, max_iters=budget, f_tol=0.0, dim=5))
             assert 1 <= len(r.objective_trace) <= budget
-            assert len(r.iterate_trace) == len(r.objective_trace)
+            assert r.oracle_calls == len(rec.points)
+            iterates = iterate_points(r, rec)
             best_idx = int(np.argmin(r.objective_trace))
-            assert np.array_equal(r.solution, r.iterate_trace[best_idx])
+            assert np.array_equal(r.solution, iterates[best_idx])
             assert r.oracle_calls >= len(r.objective_trace)
 
     def test_solution_is_argmin_of_trace(self):
         _, _, smooth = tail_toy()
-        r = lbfgs(smooth, SolverConfig(algorithm="lbfgs", max_iters=40, f_tol=0.0, dim=5))
+        rec = RecordingOracle(smooth)
+        r = run_solver(rec, SolverConfig(algorithm="lbfgs", max_iters=40, f_tol=0.0, dim=5))
         best_idx = int(np.argmin(r.objective_trace))
-        assert np.array_equal(r.solution, r.iterate_trace[best_idx])
+        assert np.array_equal(r.solution, iterate_points(r, rec)[best_idx])
         f_check, _ = smooth(r.solution)
         assert abs(f_check - r.objective_trace.min()) <= 1e-12
 
     def test_bitwise_deterministic_runs(self):
         _, _, smooth = tail_toy()
         cfg = dict(algorithm="lbfgs", max_iters=60, f_tol=0.0, dim=5)
-        r1 = lbfgs(smooth, SolverConfig(**cfg))
-        r2 = lbfgs(smooth, SolverConfig(**cfg))
+        r1 = run_solver(smooth, SolverConfig(**cfg))
+        r2 = run_solver(smooth, SolverConfig(**cfg))
         assert np.array_equal(r1.objective_trace, r2.objective_trace)
         assert np.array_equal(r1.solution, r2.solution)
 
@@ -454,12 +485,22 @@ class TestSharedContract:
             )
             assert len(r.objective_trace) >= 1
 
+    @pytest.mark.parametrize("algo", list(Algorithm))
+    def test_no_oracle_calls_after_last_iterate(self, algo):
+        # An auto step is tuned only when the run goes on past the first iterate.
+        oracle, _, _ = quadratic_oracle(np.eye(2), np.zeros(2))
+        r = run_solver(
+            oracle, SolverConfig(algorithm=algo, max_iters=1, initial_point=np.ones(2))
+        )
+        assert r.termination is Termination.MAX_ITERS
+        assert r.oracle_calls == 1
+
     def test_smoothing_consistency_toward_exact_optimum(self):
         ds, exact, _ = tail_toy()
         loss = LinearLeastSquares()
         cap = 1.0 / (200 * 0.1)
         d_max = 0.5 * (20 * (cap - 1 / 200.0) ** 2 + 180 * (1 / 200.0) ** 2)
-        ref = subgradient_method(
+        ref = run_solver(
             exact,
             SolverConfig(algorithm="subgradient", max_iters=60000, grad_tol=0.0, f_tol=0.0, dim=5),
         )
@@ -467,7 +508,7 @@ class TestSharedContract:
         prev = np.inf
         for mu in [1e-1, 1e-2, 1e-3]:
             params = RiskParams(p=0.9, mu=mu)
-            r = lbfgs(
+            r = run_solver(
                 lambda w: smoothed_oracle(loss, ds, w, params),
                 SolverConfig(algorithm="lbfgs", max_iters=500, grad_tol=1e-9, f_tol=0.0, dim=5),
             )
