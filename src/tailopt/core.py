@@ -185,18 +185,18 @@ def jacobian_transpose_apply(loss: PerSampleLoss, data: Dataset, w, q) -> np.nda
         raise ValueError(f"parameter vector has shape {w.shape}, expected ({data.d},)")
     if q.shape != (data.n,):
         raise ValueError(f"weight vector has shape {q.shape}, expected ({data.n},)")
-    support = np.flatnonzero(q)
-    if support.size == 0:
-        return np.zeros(data.d)
-    g = np.asarray(
-        loss.weighted_gradient_sum(
-            w, data.features[support], data.targets[support], q[support]
-        ),
-        dtype=float,
-    )
+    if q.all():
+        # Full support: pass the stored arrays on as they are, with no row copy.
+        X, y, qs = data.features, data.targets, q
+    else:
+        support = np.flatnonzero(q)
+        if support.size == 0:
+            return np.zeros(data.d)
+        X, y, qs = data.features[support], data.targets[support], q[support]
+    g = np.asarray(loss.weighted_gradient_sum(w, X, y, qs), dtype=float)
     if not np.isfinite(g).all():
         # Slow path only taken on failure: locate the first bad sample.
-        for i in support:
+        for i in np.flatnonzero(q):
             gi = np.asarray(loss.gradient(w, data.features[i], data.targets[i]), dtype=float)
             if not np.isfinite(gi).all():
                 raise EvaluationError(f"non-finite gradient at sample {int(i)}")

@@ -9,11 +9,12 @@ statistical equivalence is.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, EvaluationError
 from .superquantile import quantile
 
 __all__ = [
@@ -152,19 +153,25 @@ def generate_targets(X: np.ndarray, w_bar: np.ndarray, spec: SyntheticSpec, seed
     return X @ w_bar + np.where(gaussian, eps_normal, eps_laplace)
 
 
+_CSV_CHUNK_ROWS = 1024
+
+
 def save_csv(data: Dataset, path, target_column: str = "target") -> None:
     """Write the dataset with a header row and 17-significant-digit values.
 
     Feature columns are named x0..x{d-1}; 17 digits make the save/load round
-    trip exact for float64.
+    trip exact for float64.  The output is what :mod:`csv`'s default writer
+    gives, CRLF line ends included; the numeric body is formatted in blocks of
+    rows, so only one block at a time exists as Python floats.
     """
+    row_format = ",".join(["%.17g"] * (data.d + 1)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j}" for j in range(data.d)] + [target_column])
-        for i in range(data.n):
-            row = [f"{v:.17g}" for v in data.features[i]]
-            row.append(f"{data.targets[i]:.17g}")
-            writer.writerow(row)
+        csv.writer(fh).writerow([f"x{j}" for j in range(data.d)] + [target_column])
+        for i in range(0, data.n, _CSV_CHUNK_ROWS):
+            block = np.column_stack(
+                (data.features[i : i + _CSV_CHUNK_ROWS], data.targets[i : i + _CSV_CHUNK_ROWS])
+            )
+            fh.write((row_format * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def load_csv(path, target_column: str = "target") -> Dataset:
@@ -186,24 +193,58 @@ def load_csv(path, target_column: str = "target") -> Dataset:
                 f"{path}: target column {target_column!r} not found in header {header}"
             )
         tidx = header.index(target_column)
-        features: list[list[float]] = []
-        targets: list[float] = []
-        for rownum, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise DataFormatError(
-                    f"{path}: data row {rownum} has {len(row)} cells, expected {len(header)}"
-                )
-            try:
-                parsed = [float(cell) for cell in row]
-            except ValueError as exc:
-                raise NonNumericCellError(
-                    f"{path}: non-numeric cell at data row {rownum}", row=rownum
-                ) from exc
-            targets.append(parsed[tidx])
-            features.append([v for j, v in enumerate(parsed) if j != tidx])
-    if not targets:
+        table = _plain_numeric_table(fh, len(header))
+    if table is None:
+        # The row parser names the first offending row, and reads what the
+        # plain-number reader does not (quoted cells, for one).
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            next(reader)
+            table = _parse_rows(path, reader, len(header))
+    return Dataset(np.delete(table, tidx, axis=1), table[:, tidx])
+
+
+def _plain_numeric_table(lines, n_columns: int) -> np.ndarray | None:
+    """The remaining lines as a float table when each holds exactly
+    ``n_columns`` plain numbers; None when one does not (blank, quoted,
+    short, ...) or there are none."""
+    n_lines = 0
+
+    def counted():
+        nonlocal n_lines
+        for line in lines:
+            n_lines += 1
+            yield line
+
+    body = counted()
+    try:
+        # next() raises StopIteration on an empty body, before loadtxt can
+        # warn about it.
+        rows = itertools.chain([next(body)], body)
+        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, dtype=float)
+    except Exception:  # any failure defers to the row parser and its errors
+        return None
+    # loadtxt skips blank lines, which the row parser rejects.
+    return table if table.shape == (n_lines, n_columns) else None
+
+
+def _parse_rows(path, rows, n_columns: int) -> np.ndarray:
+    """Parse CSV rows one at a time into a float table, naming the first bad row."""
+    parsed_rows: list[list[float]] = []
+    for rownum, row in enumerate(rows, start=1):
+        if len(row) != n_columns:
+            raise DataFormatError(
+                f"{path}: data row {rownum} has {len(row)} cells, expected {n_columns}"
+            )
+        try:
+            parsed_rows.append([float(cell) for cell in row])
+        except ValueError as exc:
+            raise NonNumericCellError(
+                f"{path}: non-numeric cell at data row {rownum}", row=rownum
+            ) from exc
+    if not parsed_rows:
         raise EmptyDatasetError(f"{path}: empty dataset (header only)")
-    return Dataset(np.asarray(features), np.asarray(targets))
+    return np.asarray(parsed_rows, dtype=float)
 
 
 def append_intercept(data: Dataset) -> Dataset:
@@ -245,14 +286,21 @@ def residual_quantile_report(w, data: Dataset, p_levels) -> QuantileReport:
 
     Levels are sorted ascending; each quantile follows the empirical
     ceil(n*p) order-statistic convention, so the column values are
-    nondecreasing in the level.
+    nondecreasing in the level.  A residual whose square overflows raises
+    :class:`~tailopt.core.EvaluationError` naming the sample.
     """
     w = np.asarray(w, dtype=float)
     levels = sorted(float(p) for p in p_levels)
     for p in levels:
         if not 0.0 <= p < 1.0:
             raise ValueError(f"report levels must lie in [0, 1), got {p}")
-    r2 = (data.targets - data.features @ w) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        r2 = (data.targets - data.features @ w) ** 2
+    bad = ~np.isfinite(r2)
+    if bad.any():
+        raise EvaluationError(
+            f"non-finite squared residual at sample {int(np.flatnonzero(bad)[0])}"
+        )
     return QuantileReport(
         mean=float(r2.mean()),
         quantiles={p: quantile(r2, p) for p in levels},

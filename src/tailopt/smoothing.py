@@ -20,12 +20,19 @@ Two penalties are supported:
 
 * Entropic, d(q) = log(n) + sum_i q_i log q_i.  The maximizer is the capped
   softmax q_i = min(cap, c * exp(L_i / mu)); the number of capped coordinates
-  is located by a descending scan, and the normalizer c is solved in closed
-  form from the uncapped block in the log domain, so large loss-to-mu ratios
-  do not overflow.
+  is located by a descending scan, and the uncapped block is normalized with
+  exponents shifted by its largest entry, so no loss-to-mu ratio overflows or
+  moves the weights off the simplex.
 
-Breakpoint search here sorts (O(n log n)); correctness, not the constant, is
-the contract.
+Neither routine sorts all n losses; each sorts a candidate set found by one
+O(n) partition, with cap = 1/(n(1-p)) and r = ceil(1/cap) <= n:
+
+* Euclidean: the r largest u_i alone fill the cap, so lambda >= u_(r) - mu*cap
+  for the r-th largest u_(r), and only {i : u_i >= u_(r) - mu*cap} can carry
+  weight.  The set holds the top r plus the u_i within mu*cap below u_(r).
+* Entropic: k capped coordinates leave mass 1 - k*cap > 0, so k < r and the
+  scan needs only the r largest L_i / mu (plus one, for rounding); the rest
+  enter through one log-sum-exp.
 """
 
 from __future__ import annotations
@@ -50,7 +57,10 @@ class SmoothedOracleOutput:
     """Maximizer of the penalized dual problem at one loss vector.
 
     ``value`` is the smoothed objective weights @ losses - mu * penalty_value,
-    ``lam`` the optimal scalar multiplier of the sum constraint.
+    ``lam`` the optimal scalar multiplier of the sum constraint.  The Euclidean
+    routine adds -lam * (sum(weights) - 1), which is zero up to rounding and
+    makes the value the dual function at ``lam`` (see
+    :func:`smoothed_weights_euclidean`).
     """
 
     value: float
@@ -105,44 +115,65 @@ def smoothed_weights_euclidean(losses, p: float, mu: float) -> SmoothedOracleOut
         return _uniform_output(L, lam=float(np.min(L) + mu / n - mu * cap))
 
     u = L + mu / n
-    us = np.sort(u)
+    # The r largest u_i alone can fill the cap (r * cap >= 1; one extra for
+    # rounding), so the multiplier is at least u_(r) - mu*cap for the r-th
+    # largest u_(r), and only the u_i at or above that bound carry weight.
+    r = min(n, int(np.ceil(1.0 / cap)) + 1)
+    idx = np.flatnonzero(u >= np.partition(u, n - r)[n - r] - mu * cap)
+    uc = u[idx]
+    m = uc.size
+    us = np.sort(uc)
     pre = np.concatenate(([0.0], np.cumsum(us)))
-    bps = np.unique(np.concatenate((u, u - mu * cap)))
+    # Both breakpoint families are sorted runs, so the stable sort only merges.
+    bps = np.sort(np.concatenate((us, us - mu * cap)), kind="stable")
 
     def theta_at(lams: np.ndarray) -> np.ndarray:
         hi = np.searchsorted(us, lams + mu * cap, side="right")
         lo = np.searchsorted(us, lams, side="left")
         n_mid = hi - lo
         sum_mid = pre[hi] - pre[lo]
-        n_top = n - hi
+        n_top = m - hi
         return 1.0 - (sum_mid - lams * n_mid) / mu - cap * n_top
 
-    theta = theta_at(bps)
-    b_idx = int(np.argmax(theta > 0.0))
-    # theta is 1 at the largest breakpoint and 1 - n*cap < 0 at the smallest,
-    # so a sign change always exists between adjacent breakpoints.
-    if theta[b_idx] <= 0.0 or b_idx == 0:
+    # theta is nondecreasing, 1 at the largest breakpoint and 1 - m*cap <= 0
+    # at the smallest, so it changes sign between adjacent breakpoints.  Find
+    # the first positive value on a coarse grid of cell ends, then inside the
+    # cell that holds it, starting one breakpoint to its left.
+    step = int(np.sqrt(bps.size)) + 1
+    ends = np.minimum(np.arange(step - 1, bps.size + step - 1, step), bps.size - 1)
+    cell = int(np.argmax(theta_at(bps[ends]) > 0.0))
+    start = max(cell * step - 1, 0)
+    window = bps[start : ends[cell] + 1]
+    theta = theta_at(window)
+    j = int(np.argmax(theta > 0.0))
+    if theta[j] <= 0.0 or start + j == 0:
         raise AssertionError("dual derivative not bracketed; unreachable for p > 0")
-    a, b = bps[b_idx - 1], bps[b_idx]
-    ta, tb = theta[b_idx - 1], theta[b_idx]
+    a, b = window[j - 1], window[j]
+    ta, tb = theta[j - 1], theta[j]
     if abs(ta) <= 1e-12:
         lam = float(a)
     else:
         # theta is affine between adjacent breakpoints: interpolation is exact.
         lam = float(a - ta * (b - a) / (tb - ta))
 
-    q = np.clip((u - lam) / mu, 0.0, cap)
-    drift = float(q.sum()) - 1.0
+    qc = np.clip((uc - lam) / mu, 0.0, cap)
+    drift = float(qc.sum()) - 1.0
     if abs(drift) > 5e-12:
         # One Newton correction on the active affine piece, then re-clip.
-        n_mid = int(np.count_nonzero((u - mu * cap <= lam) & (lam <= u)))
+        n_mid = int(np.count_nonzero((uc - mu * cap <= lam) & (lam <= uc)))
         if n_mid > 0:
             lam += drift * mu / n_mid
-            q = np.clip((u - lam) / mu, 0.0, cap)
-    penalty = float(0.5 * np.sum((q - 1.0 / n) ** 2))
-    return SmoothedOracleOutput(
-        value=float(q @ L - mu * penalty), weights=q, lam=lam, penalty_value=penalty
-    )
+            qc = np.clip((uc - lam) / mu, 0.0, cap)
+    q = np.zeros(n)
+    q[idx] = qc
+    # Each of the n - m zero weights contributes (1/n)^2.
+    penalty = float(0.5 * (np.sum((qc - 1.0 / n) ** 2) + (n - m) / n**2))
+    # q maximizes the Lagrangian q @ L - mu*d(q) - lam*(sum q - 1) over the box
+    # at this lam, and that dual function is stationary at the optimal lam, so
+    # its value moves only to second order with a rounding error in lam; the
+    # plain q @ L - mu*d(q) would move by lam times the drift of sum q.
+    value = float(q @ L - mu * penalty - lam * (float(qc.sum()) - 1.0))
+    return SmoothedOracleOutput(value=value, weights=q, lam=lam, penalty_value=penalty)
 
 
 def smoothed_weights_entropic(losses, p: float, mu: float) -> SmoothedOracleOutput:
@@ -156,36 +187,60 @@ def smoothed_weights_entropic(losses, p: float, mu: float) -> SmoothedOracleOutp
         return _uniform_output(L, lam=float(-mu * (logc + 1.0)))
 
     s = L / mu
-    order = np.argsort(-s, kind="stable")
-    ss = s[order]
-    # T[k] = log sum_{i >= k} exp(ss[i]); pairwise accumulation keeps the
-    # usual max shift, so losses of magnitude ~1e4/mu are safe.
-    T = np.logaddexp.accumulate(ss[::-1])[::-1]
-    k = np.arange(n)
+    # Capping k coordinates leaves mass 1 - k*cap > 0, so k < ceil(1/cap): the
+    # cap count is found among the K largest scaled losses (one extra for
+    # rounding), and the rest enter through one log-sum-exp.
+    K = min(n, int(np.ceil(1.0 / cap)) + 1)
+    part = np.partition(s, n - K)
+    if K < n:
+        rest = part[: n - K]
+        m = float(rest.max())
+        log_rest = m + float(np.log(np.exp(rest - m).sum()))
+    else:
+        log_rest = -np.inf
+    ascending = np.concatenate(([log_rest], np.sort(part[n - K :])))
+    ss = ascending[:0:-1]  # the K largest, descending
+    # T[k] = log sum_{i >= k} exp(ss[i]) over the sorted block and the rest,
+    # summed from the smallest term up.  While every term shifted by the
+    # largest one stays above about 1e-261, a plain cumulative sum of the
+    # shifted exponentials is accurate to rounding; wider spreads take the
+    # log-domain accumulation, which cannot underflow.
+    if ss[0] - min(log_rest, ss[-1]) < 600.0:
+        T = ss[0] + np.log(np.cumsum(np.exp(ascending - ss[0])))[:0:-1]
+    else:
+        T = np.logaddexp.accumulate(ascending)[:0:-1]
+    k = np.arange(K)
     rem = 1.0 - k * cap  # mass left for the uncapped block when k are capped
     valid = rem > 0.0
     log_rem = np.log(np.where(valid, rem, 1.0))
-    logc = np.where(valid, log_rem - T, np.inf)
     log_cap = np.log(cap)
     # The tolerance absorbs rounding of 1 - k*cap near the critical count,
     # where the exact margin is zero; accepted overshoot is clipped below.
-    # T - ss is formed first: logc + ss would add two numbers of size |L/mu|
-    # and lose the margin to rounding once |L/mu| reaches about 1e10.
+    # T - ss is formed first: adding log_rem - T to ss instead would combine
+    # two numbers of size |L/mu| and lose the margin to rounding once |L/mu|
+    # reaches about 1e10.
     feasible = valid & (log_rem - (T - ss) <= log_cap + 1e-9)
     if not feasible.any():
         raise AssertionError("no feasible cap count; unreachable for p > 0")
     kstar = int(np.argmax(feasible))
 
-    qs = np.empty(n)
-    qs[:kstar] = cap
-    qs[kstar:] = np.minimum(np.exp(logc[kstar] + ss[kstar:]), cap)
-    q = np.empty(n)
-    q[order] = qs
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(q > 0.0, q * np.log(q), 0.0)
-    penalty = max(float(np.log(n) + plogp.sum()), 0.0)
-    lam = float(-mu * (logc[kstar] + 1.0))
+    # The uncapped block gets mass * exp(d_i) / Z with d_i = s_i - s_max, where
+    # s_max = ss[kstar] is its largest entry and Z = sum_j exp(d_j): every
+    # exponent is <= 0, and the block sums to its mass up to rounding whatever
+    # the size of L/mu.  Its entropy follows from log q_i = log(mass / Z) + d_i.
+    # Entries tied with s_max stay in the block; they sit at the cap within
+    # the scan's tolerance either way.
+    d = s - ss[kstar]
+    uncapped = d <= 0.0
+    e = np.exp(np.minimum(d, 0.0)) * uncapped
+    Z = float(e.sum())
+    n_capped = n - int(np.count_nonzero(uncapped))
+    mass = 1.0 - n_capped * cap
+    # Capped entries have e = 0; the maximum lifts them to the cap.
+    q = np.maximum(np.minimum(e * (mass / Z), cap), cap * ~uncapped)
+    plogq = n_capped * cap * log_cap + mass * np.log(mass / Z) + (mass / Z) * float(e @ d)
+    penalty = max(float(np.log(n) + plogq), 0.0)
+    lam = float(-mu * (log_rem[kstar] - T[kstar] + 1.0))
     return SmoothedOracleOutput(
         value=float(q @ L - mu * penalty), weights=q, lam=lam, penalty_value=penalty
     )

@@ -126,16 +126,19 @@ class SolverResult:
     oracle_calls: int
 
 
-def tune_initial_step(oracle: Oracle, x0) -> float:
+def tune_initial_step(oracle: Oracle, x0, f0: float | None = None, g0=None) -> float:
     """Largest step on a geometric grid that strictly decreases the objective.
 
     The grid is 2**k / (1 + ||g0||) for k = -20..20, scanned from the largest
-    step down; scanning order makes the result deterministic.  If no step
+    step down; scanning order makes the result deterministic.  A caller that
+    has already evaluated the oracle at ``x0`` passes its value and gradient
+    as ``f0`` and ``g0``; otherwise the tuner evaluates them.  If no step
     decreases the objective a :class:`TuneStepWarning` is emitted and the
     smallest grid step is returned.
     """
     x0 = np.asarray(x0, dtype=float)
-    f0, g0 = oracle(x0)
+    if f0 is None or g0 is None:
+        f0, g0 = oracle(x0)
     g0 = np.asarray(g0, dtype=float)
     base = 1.0 / (1.0 + float(np.linalg.norm(g0)))
     for k in range(20, -21, -1):
@@ -147,10 +150,16 @@ def tune_initial_step(oracle: Oracle, x0) -> float:
     return base * 2.0**-20
 
 
-def _step_or_tune(oracle: Oracle, x: np.ndarray, config: SolverConfig) -> float:
-    """The configured step, or the step tuned at ``x`` when it is ``"auto"``."""
+def _step_or_tune(
+    oracle: Oracle, x: np.ndarray, f: float, g: np.ndarray, config: SolverConfig
+) -> float:
+    """The configured step, or the step tuned at ``x`` when it is ``"auto"``.
+
+    ``f`` and ``g`` are the oracle's output at ``x``, so tuning spends no call
+    on that point again.
+    """
     if isinstance(config.step_size, str):
-        return tune_initial_step(oracle, x)
+        return tune_initial_step(oracle, x, f, g)
     return config.step_size
 
 
@@ -177,7 +186,7 @@ def _subgradient(oracle: Oracle, x: np.ndarray, config: SolverConfig) -> Steps:
         f, g = oracle(x)
         yield x, f, g
         if alpha is None:
-            alpha = _step_or_tune(oracle, x, config)
+            alpha = _step_or_tune(oracle, x, f, g, config)
         x = x - (alpha / math.sqrt(k + 1)) * g
 
 
@@ -198,7 +207,7 @@ def _dual_averaging(oracle: Oracle, x0: np.ndarray, config: SolverConfig) -> Ste
         yield x, f, g
         gnorm = float(np.linalg.norm(g))
         if a is None:
-            a = 1.0 / (_step_or_tune(oracle, x0, config) * gnorm)
+            a = 1.0 / (_step_or_tune(oracle, x0, f, g, config) * gnorm)
         s = s + g / gnorm
         x = x0 - s / (a * math.sqrt(k + 1))
 
@@ -214,7 +223,7 @@ def _gradient_descent(oracle: Oracle, x: np.ndarray, config: SolverConfig) -> St
     while True:
         yield x, f, g
         if alpha is None:
-            alpha = _step_or_tune(oracle, x, config)
+            alpha = _step_or_tune(oracle, x, f, g, config)
         accepted = _backtrack(oracle, x, f, -g, -float(g @ g), alpha)
         if accepted is None:
             return
@@ -244,7 +253,7 @@ def _accelerated_gradient(oracle: Oracle, x0: np.ndarray, config: SolverConfig) 
         f, g = oracle(y)
         yield y, f, g
         if step is None:
-            step = _step_or_tune(oracle, x_prev, config)
+            step = _step_or_tune(oracle, x_prev, f, g, config)
             if isinstance(config.step_size, str):
                 step *= 0.5
         x_next = y - step * g

@@ -14,6 +14,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from tailopt.core import Dataset, PerSampleLoss
+from tailopt.smoothing import SmoothedOracleOutput
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +124,100 @@ def max_penalized_entropic(losses: np.ndarray, p: float, mu: float, iters: int =
             t_lo = t
     t = 0.5 * (t_lo + t_hi)
     return np.exp(np.minimum(t + s, log_cap))
+
+
+def sorting_weights_euclidean(losses, p: float, mu: float) -> SmoothedOracleOutput:
+    """Euclidean maximizer by a breakpoint search over all n sorted losses.
+
+    The O(n log n) routine that :func:`tailopt.smoothing.smoothed_weights_euclidean`
+    replaced; kept as the reference its candidate-set search must agree with.
+    """
+    L = np.asarray(losses, dtype=float)
+    n = L.size
+    cap = 1.0 / (n * (1.0 - p))
+    if p == 0.0 or n * cap <= 1.0:
+        q = np.full(n, 1.0 / n)
+        lam = float(np.min(L) + mu / n - mu * cap)
+        return SmoothedOracleOutput(value=float(q @ L), weights=q, lam=lam, penalty_value=0.0)
+
+    u = L + mu / n
+    us = np.sort(u)
+    pre = np.concatenate(([0.0], np.cumsum(us)))
+    bps = np.unique(np.concatenate((u, u - mu * cap)))
+
+    def theta_at(lams: np.ndarray) -> np.ndarray:
+        hi = np.searchsorted(us, lams + mu * cap, side="right")
+        lo = np.searchsorted(us, lams, side="left")
+        n_mid = hi - lo
+        sum_mid = pre[hi] - pre[lo]
+        n_top = n - hi
+        return 1.0 - (sum_mid - lams * n_mid) / mu - cap * n_top
+
+    theta = theta_at(bps)
+    b_idx = int(np.argmax(theta > 0.0))
+    assert theta[b_idx] > 0.0 and b_idx > 0, "dual derivative not bracketed"
+    a, b = bps[b_idx - 1], bps[b_idx]
+    ta, tb = theta[b_idx - 1], theta[b_idx]
+    if abs(ta) <= 1e-12:
+        lam = float(a)
+    else:
+        lam = float(a - ta * (b - a) / (tb - ta))
+
+    q = np.clip((u - lam) / mu, 0.0, cap)
+    drift = float(q.sum()) - 1.0
+    if abs(drift) > 5e-12:
+        n_mid = int(np.count_nonzero((u - mu * cap <= lam) & (lam <= u)))
+        if n_mid > 0:
+            lam += drift * mu / n_mid
+            q = np.clip((u - lam) / mu, 0.0, cap)
+    penalty = float(0.5 * np.sum((q - 1.0 / n) ** 2))
+    return SmoothedOracleOutput(
+        value=float(q @ L - mu * penalty), weights=q, lam=lam, penalty_value=penalty
+    )
+
+
+def sorting_weights_entropic(losses, p: float, mu: float) -> SmoothedOracleOutput:
+    """Entropic maximizer by a cap-count scan over all n sorted scaled losses.
+
+    The O(n log n) routine that :func:`tailopt.smoothing.smoothed_weights_entropic`
+    replaced; kept as the reference its top-K search must agree with.  The
+    uncapped block is formed as exp(logc + s_i), which is accurate only while
+    |L/mu| stays well below 1e10.
+    """
+    L = np.asarray(losses, dtype=float)
+    n = L.size
+    cap = 1.0 / (n * (1.0 - p))
+    if p == 0.0 or n * cap <= 1.0:
+        q = np.full(n, 1.0 / n)
+        lam = float(-mu * (np.log(cap) - float(np.min(L)) / mu + 1.0))
+        return SmoothedOracleOutput(value=float(q @ L), weights=q, lam=lam, penalty_value=0.0)
+
+    s = L / mu
+    order = np.argsort(-s, kind="stable")
+    ss = s[order]
+    T = np.logaddexp.accumulate(ss[::-1])[::-1]
+    k = np.arange(n)
+    rem = 1.0 - k * cap
+    valid = rem > 0.0
+    log_rem = np.log(np.where(valid, rem, 1.0))
+    logc = np.where(valid, log_rem - T, np.inf)
+    feasible = valid & (log_rem - (T - ss) <= np.log(cap) + 1e-9)
+    assert feasible.any(), "no feasible cap count"
+    kstar = int(np.argmax(feasible))
+
+    qs = np.empty(n)
+    qs[:kstar] = cap
+    qs[kstar:] = np.minimum(np.exp(logc[kstar] + ss[kstar:]), cap)
+    q = np.empty(n)
+    q[order] = qs
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plogp = np.where(q > 0.0, q * np.log(q), 0.0)
+    penalty = max(float(np.log(n) + plogp.sum()), 0.0)
+    lam = float(-mu * (logc[kstar] + 1.0))
+    return SmoothedOracleOutput(
+        value=float(q @ L - mu * penalty), weights=q, lam=lam, penalty_value=penalty
+    )
 
 
 def penalized_objective(q: np.ndarray, losses: np.ndarray, mu: float, penalty: str) -> float:

@@ -273,9 +273,9 @@ class TestEval:
         model = tmp_path / "m.json"
         model.write_text(json.dumps({"weights": [1e300, 1e300, 1e300, 1e300]}))
         code, lines, err = run_cli(capsys, ["eval", "--model", str(model), "--data", str(data)])
-        assert code != 0
+        assert code == 4
         assert lines == []
-        assert "error" in err
+        assert "error:" in err and "non-finite" in err
 
     def test_matches_library_report(self, tmp_path, capsys):
         rng = np.random.default_rng(11)

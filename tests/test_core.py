@@ -195,6 +195,28 @@ class TestJacobianTransposeApply:
         jacobian_transpose_apply(loss, ds, np.zeros(2), q)
         assert loss.gradient_calls == 2
 
+    def test_full_support_passes_stored_arrays_without_copy(self):
+        ds = random_lsq_dataset(13, n=300, d=7)
+        seen = []
+
+        class Spy(LinearLeastSquares):
+            def weighted_gradient_sum(self, w, X, y, q):
+                seen.append((X, y, q))
+                return super().weighted_gradient_sum(w, X, y, q)
+
+        rng = np.random.default_rng(14)
+        w = rng.standard_normal(7)
+        q = rng.random(300) + 0.1
+        got = jacobian_transpose_apply(Spy(), ds, w, q)
+        X, y, qs = seen[0]
+        assert X is ds.features and y is ds.targets and qs is q
+        # Same arithmetic as on a gathered copy of every row: bit-identical.
+        rows = np.arange(300)
+        want = LinearLeastSquares().weighted_gradient_sum(
+            w, ds.features[rows], ds.targets[rows], q[rows]
+        )
+        assert np.array_equal(got, want)
+
     def test_all_zero_weights(self):
         ds = random_lsq_dataset(12, n=4, d=3)
         got = jacobian_transpose_apply(CountingLoss(), ds, np.zeros(3), np.zeros(4))

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -155,6 +158,69 @@ class TestCsvRoundTrip:
         ds = load_csv(path, target_column="y")
         assert np.array_equal(ds.targets, [5.0, 6.0])
         assert np.array_equal(ds.features[:, 0], [1.0, 2.0])
+
+
+def csv_writer_reference(data: Dataset, target_column: str = "target") -> bytes:
+    """The file a row-by-row ``csv.writer`` with 17-digit cells writes."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow([f"x{j}" for j in range(data.d)] + [target_column])
+    for x, y in zip(data.features, data.targets):
+        writer.writerow([f"{v:.17g}" for v in x] + [f"{y:.17g}"])
+    return out.getvalue().encode()
+
+
+class TestCsvFastPaths:
+    @pytest.mark.parametrize("n", [1, 7, 1023, 1024, 1025, 2500])
+    def test_save_matches_csv_writer_bytes(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        X = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300, size=(n, 3))
+        X[0, 0] = -0.0
+        X[-1, -1] = 5e-324
+        ds = Dataset(X, rng.standard_cauchy(n))
+        path = tmp_path / "d.csv"
+        save_csv(ds, path)
+        assert path.read_bytes() == csv_writer_reference(ds)
+        back = load_csv(path)
+        assert np.array_equal(back.features, ds.features)
+        assert np.array_equal(back.targets, ds.targets)
+
+    def test_target_name_that_needs_quoting(self, tmp_path):
+        ds = random_lsq_dataset(1, n=5, d=2)
+        name = 'y, "raw"'
+        path = tmp_path / "q.csv"
+        save_csv(ds, path, target_column=name)
+        assert path.read_bytes() == csv_writer_reference(ds, name)
+        back = load_csv(path, target_column=name)
+        assert np.array_equal(back.targets, ds.targets)
+
+    def test_blank_line_is_a_short_row(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("x0,target\n1.0,2.0\n\n3.0,4.0\n")
+        with pytest.raises(DataFormatError, match="data row 2 has 0 cells, expected 2"):
+            load_csv(path)
+
+    def test_hash_prefixed_row_is_not_a_comment(self, tmp_path):
+        path = tmp_path / "hash.csv"
+        path.write_text("x0,target\n1.0,2.0\n#3.0,4.0\n")
+        with pytest.raises(NonNumericCellError, match="row 2") as err:
+            load_csv(path)
+        assert err.value.row == 2
+
+    def test_quoted_cells_parse_as_numbers(self, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_text('x0,"target"\n"1.5",2.0\n3.0,"-4e-3"\n')
+        ds = load_csv(path)
+        assert np.array_equal(ds.features[:, 0], [1.5, 3.0])
+        assert np.array_equal(ds.targets, [2.0, -4e-3])
+
+    def test_lf_and_crlf_files_load_alike(self, tmp_path):
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        lf.write_bytes(b"x0,target\n1.0,2.0\n3.0,4.0")
+        crlf.write_bytes(b"x0,target\r\n1.0,2.0\r\n3.0,4.0\r\n")
+        a, b = load_csv(lf), load_csv(crlf)
+        assert np.array_equal(a.features, b.features)
+        assert np.array_equal(a.targets, [2.0, 4.0])
 
 
 class TestAppendIntercept:

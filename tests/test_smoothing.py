@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailopt.core import Dataset, RiskParams, check_dual_weights
 from tailopt.models import LinearLeastSquares
@@ -9,7 +13,7 @@ from tailopt.smoothing import (
     smoothed_weights_euclidean,
     theta_prime,
 )
-from tailopt.superquantile import superquantile
+from tailopt.superquantile import exact_subgradient_weights, superquantile
 
 from helpers import (
     central_difference_gradient,
@@ -18,12 +22,49 @@ from helpers import (
     penalized_objective,
     penalty_max_on_vertices,
     random_lsq_dataset,
+    sorting_weights_entropic,
+    sorting_weights_euclidean,
 )
 
 SUBROUTINES = {
     "euclidean": (smoothed_weights_euclidean, max_penalized_euclidean),
     "entropic": (smoothed_weights_entropic, max_penalized_entropic),
 }
+
+
+@st.composite
+def loss_vectors(draw):
+    """Loss vectors of length 1..60 with |L| <= 100: heavy ties, constants,
+    mixed magnitudes (1e-8 to 1e2 in one vector) or plain floats."""
+    n = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(["ties", "constant", "mixed", "plain"]))
+    unit = st.floats(-1.0, 1.0)
+    if kind == "constant":
+        return np.full(n, draw(st.floats(-100.0, 100.0)))
+    if kind == "ties":
+        pool = draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=3))
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+        return np.array(pool)[picks]
+    mantissas = np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+    if kind == "mixed":
+        exponents = np.array(draw(st.lists(st.integers(-8, 2), min_size=n, max_size=n)))
+        return mantissas * 10.0**exponents
+    return 100.0 * mantissas
+
+
+def dual_value(out) -> float:
+    """A reference's value as the dual function at its multiplier.
+
+    The sorting references report q @ L - mu*d(q), which moves by lam times
+    the drift of sum q (up to about 5e-12); subtracting lam * (sum q - 1)
+    removes that, as the Euclidean routine does.  The entropic routine's
+    weights sum to 1 within a few ulp, so its value needs no such term.
+    """
+    return out.value - out.lam * (float(out.weights.sum()) - 1.0)
+
+
+LEVELS = st.sampled_from([0.0, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0 - 1e-9])
+SCALES = st.sampled_from([1e-3, 0.1, 1.0, 1e3])
 
 
 def random_instance(rng, n_max=20):
@@ -172,13 +213,19 @@ class TestEntropicSubroutine:
         # Mass concentrates on the largest loss up to the cap.
         assert out.weights[2] == pytest.approx(cap)
 
-    @pytest.mark.parametrize("scale", [1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15])
+    @pytest.mark.parametrize(
+        "scale", [1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e20, 1e100, 1e200, 1e300]
+    )
     def test_cap_count_found_at_extreme_loss_to_mu_ratio(self, scale):
         # The step tuner's long trial steps drive losses this high.
         L = scale * np.random.default_rng(0).standard_normal(200)
-        out = smoothed_weights_entropic(L, 0.9, 1.0)
-        # The sum is accurate only to about 1e-4 at these ratios.
-        check_dual_weights(out.weights, 1.0 / (200 * 0.1), sum_tol=1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = smoothed_weights_entropic(L, 0.9, 1.0)
+        check_dual_weights(out.weights, 1.0 / (200 * 0.1))
+        # Gaps between losses dwarf mu, so the softmax is a hard selection.
+        exact = exact_subgradient_weights(L, 0.9).weights
+        assert np.max(np.abs(out.weights - exact)) <= 1e-12
 
     def test_caps_bind_progressively(self):
         # Small mu concentrates the softmax; the cap forces spreading.
@@ -209,6 +256,58 @@ class TestEntropicSubroutine:
         a = smoothed_weights_entropic(L, 0.9, 0.05)
         b = smoothed_weights_entropic(L, 0.9, 0.05)
         assert np.array_equal(a.weights, b.weights)
+
+
+class TestAgainstSortingReferences:
+    """The candidate-set routines against the full-sort routines they replaced.
+
+    Both are exact up to rounding of order eps * |L| / mu in each weight, so
+    agreement is asserted to 1e-12 on that scale.
+    """
+
+    @pytest.mark.parametrize(
+        "penalty, fast, reference",
+        [
+            ("euclidean", smoothed_weights_euclidean, sorting_weights_euclidean),
+            ("entropic", smoothed_weights_entropic, sorting_weights_entropic),
+        ],
+    )
+    @settings(max_examples=300, deadline=None)
+    @given(L=loss_vectors(), p=LEVELS, mu=SCALES)
+    def test_matches_reference(self, penalty, fast, reference, L, p, mu):
+        got, want = fast(L, p, mu), reference(L, p, mu)
+        scale = max(1.0, float(np.abs(L).max()) / mu)
+        assert np.max(np.abs(got.weights - want.weights)) <= 1e-12 * scale
+        assert got.value == pytest.approx(dual_value(want), rel=1e-12, abs=1e-12 * scale * mu)
+        check_dual_weights(got.weights, 1.0 / (L.size * (1.0 - p)), sum_tol=1e-10 * scale)
+
+    @pytest.mark.parametrize("spread", [100.0, 599.0, 601.0, 5000.0])
+    def test_entropic_tail_sums_on_both_sides_of_the_spread_switch(self, spread):
+        # The 31 largest losses (the candidates at p = 0.9, n = 300) span
+        # [0, spread].  Spreads of L/mu below 600 sum shifted exponentials
+        # directly; wider ones accumulate in the log domain.
+        rng = np.random.default_rng(int(spread))
+        L = np.concatenate([np.linspace(0.0, spread, 31), -1.0 - rng.random(269)])
+        rng.shuffle(L)
+        got = smoothed_weights_entropic(L, 0.9, 1.0)
+        want = sorting_weights_entropic(L, 0.9, 1.0)
+        assert np.max(np.abs(got.weights - want.weights)) <= 1e-12 * spread
+        check_dual_weights(got.weights, 1.0 / (300 * 0.1))
+
+    @pytest.mark.parametrize("n", [10_000, 50_001])
+    @pytest.mark.parametrize("p", [0.5, 0.9, 0.999])
+    def test_large_vectors_match_reference(self, n, p):
+        rng = np.random.default_rng(n)
+        L = np.concatenate([rng.standard_normal(n - n // 10), np.full(n // 10, 2.0)])
+        rng.shuffle(L)
+        for mu in [1e-2, 1.0, 1e3]:
+            for fast, reference in [
+                (smoothed_weights_euclidean, sorting_weights_euclidean),
+                (smoothed_weights_entropic, sorting_weights_entropic),
+            ]:
+                got, want = fast(L, p, mu), reference(L, p, mu)
+                scale = max(1.0, float(np.abs(L).max()) / mu)
+                assert np.max(np.abs(got.weights - want.weights)) <= 1e-12 * scale
 
 
 class TestApproximationBounds:
