@@ -124,8 +124,7 @@ def smoothed_weights_euclidean(losses, p: float, mu: float) -> SmoothedOracleOut
     m = uc.size
     us = np.sort(uc)
     pre = np.concatenate(([0.0], np.cumsum(us)))
-    # Both breakpoint families are sorted runs, so the stable sort only merges.
-    bps = np.sort(np.concatenate((us, us - mu * cap)), kind="stable")
+    bps = np.unique(np.concatenate((uc, uc - mu * cap)))
 
     def theta_at(lams: np.ndarray) -> np.ndarray:
         hi = np.searchsorted(us, lams + mu * cap, side="right")
@@ -135,21 +134,14 @@ def smoothed_weights_euclidean(losses, p: float, mu: float) -> SmoothedOracleOut
         n_top = m - hi
         return 1.0 - (sum_mid - lams * n_mid) / mu - cap * n_top
 
-    # theta is nondecreasing, 1 at the largest breakpoint and 1 - m*cap <= 0
-    # at the smallest, so it changes sign between adjacent breakpoints.  Find
-    # the first positive value on a coarse grid of cell ends, then inside the
-    # cell that holds it, starting one breakpoint to its left.
-    step = int(np.sqrt(bps.size)) + 1
-    ends = np.minimum(np.arange(step - 1, bps.size + step - 1, step), bps.size - 1)
-    cell = int(np.argmax(theta_at(bps[ends]) > 0.0))
-    start = max(cell * step - 1, 0)
-    window = bps[start : ends[cell] + 1]
-    theta = theta_at(window)
-    j = int(np.argmax(theta > 0.0))
-    if theta[j] <= 0.0 or start + j == 0:
+    theta = theta_at(bps)
+    b_idx = int(np.argmax(theta > 0.0))
+    # theta is 1 at the largest breakpoint and 1 - m*cap <= 0 at the smallest,
+    # so a sign change always exists between adjacent breakpoints.
+    if theta[b_idx] <= 0.0 or b_idx == 0:
         raise AssertionError("dual derivative not bracketed; unreachable for p > 0")
-    a, b = window[j - 1], window[j]
-    ta, tb = theta[j - 1], theta[j]
+    a, b = bps[b_idx - 1], bps[b_idx]
+    ta, tb = theta[b_idx - 1], theta[b_idx]
     if abs(ta) <= 1e-12:
         lam = float(a)
     else:
@@ -170,8 +162,9 @@ def smoothed_weights_euclidean(losses, p: float, mu: float) -> SmoothedOracleOut
     penalty = float(0.5 * (np.sum((qc - 1.0 / n) ** 2) + (n - m) / n**2))
     # q maximizes the Lagrangian q @ L - mu*d(q) - lam*(sum q - 1) over the box
     # at this lam, and that dual function is stationary at the optimal lam, so
-    # its value moves only to second order with a rounding error in lam; the
-    # plain q @ L - mu*d(q) would move by lam times the drift of sum q.
+    # its value moves only to second order with a rounding error in lam.  The
+    # plain q @ L - mu*d(q) moves by lam times the drift of sum q, and one ulp
+    # of lam already moves sum q by n_mid * ulp(lam) / mu.
     value = float(q @ L - mu * penalty - lam * (float(qc.sum()) - 1.0))
     return SmoothedOracleOutput(value=value, weights=q, lam=lam, penalty_value=penalty)
 
@@ -200,15 +193,10 @@ def smoothed_weights_entropic(losses, p: float, mu: float) -> SmoothedOracleOutp
         log_rest = -np.inf
     ascending = np.concatenate(([log_rest], np.sort(part[n - K :])))
     ss = ascending[:0:-1]  # the K largest, descending
-    # T[k] = log sum_{i >= k} exp(ss[i]) over the sorted block and the rest,
-    # summed from the smallest term up.  While every term shifted by the
-    # largest one stays above about 1e-261, a plain cumulative sum of the
-    # shifted exponentials is accurate to rounding; wider spreads take the
-    # log-domain accumulation, which cannot underflow.
-    if ss[0] - min(log_rest, ss[-1]) < 600.0:
-        T = ss[0] + np.log(np.cumsum(np.exp(ascending - ss[0])))[:0:-1]
-    else:
-        T = np.logaddexp.accumulate(ascending)[:0:-1]
+    # T[k] = log sum_{i >= k} exp(ss[i]) over the sorted block and the rest;
+    # each logaddexp step shifts by its larger operand, so no spread of L/mu
+    # overflows or underflows.
+    T = np.logaddexp.accumulate(ascending)[:0:-1]
     k = np.arange(K)
     rem = 1.0 - k * cap  # mass left for the uncapped block when k are capped
     valid = rem > 0.0

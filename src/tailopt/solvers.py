@@ -12,7 +12,9 @@ spends oracle calls after its last recorded iterate.
 
 The returned solution is the evaluated iterate with the lowest recorded
 objective (subgradient-type and accelerated methods are not descent methods,
-so last-iterate would be wrong).
+so last-iterate would be wrong); among tied iterates it is the latest, so a
+run that stops on the gradient test at a value tied with the best returns
+the iterate whose gradient passed.
 
 Stopping tests run after each recorded iterate in the order: gradient norm,
 best-objective stall, then the iteration budget.  Since ``grad_tol >= 0``, an
@@ -118,7 +120,7 @@ class SolverConfig:
 
 @dataclass
 class SolverResult:
-    """Outcome of one solver run; ``solution`` minimizes ``objective_trace``."""
+    """Outcome of one solver run; ``solution`` is the last minimizer of ``objective_trace``."""
 
     solution: np.ndarray
     objective_trace: np.ndarray
@@ -347,7 +349,7 @@ def run_solver(oracle: Oracle, config: SolverConfig) -> SolverResult:
             err.objective_trace = trace
             raise err
         trace.append(f)
-        if f < best_f:
+        if f <= best_f:
             best_f, best_x = f, x.copy()
         best_hist.append(best_f)
         if np.linalg.norm(g) <= config.grad_tol:

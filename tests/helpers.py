@@ -8,6 +8,7 @@ quantile function piece by piece.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -124,6 +125,41 @@ def max_penalized_entropic(losses: np.ndarray, p: float, mu: float, iters: int =
             t_lo = t
     t = 0.5 * (t_lo + t_hi)
     return np.exp(np.minimum(t + s, log_cap))
+
+
+def exact_euclidean_value(losses, p: float, mu: float) -> Fraction:
+    """Euclidean smoothed value max_q q @ L - mu/2 ||q - e/n||^2 in exact arithmetic.
+
+    The inputs and the cap 1/(n(1-p)) are taken as the doubles the routines
+    see; the multiplier is the exact root of the piecewise affine theta',
+    found by bisection over the sorted breakpoints.
+    """
+    n = len(losses)
+    L = [Fraction(float(x)) for x in losses]
+    cap = Fraction(1.0 / (n * (1.0 - p)))
+    mu = Fraction(mu)
+    u = [x + mu / n for x in L]
+
+    def weights(lam):
+        return [min(max((ui - lam) / mu, Fraction(0)), cap) for ui in u]
+
+    def theta(lam):
+        return 1 - sum(weights(lam))
+
+    bps = sorted(set(u) | {ui - mu * cap for ui in u})
+    lo, hi = 0, len(bps) - 1
+    assert theta(bps[lo]) <= 0 < theta(bps[hi])
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if theta(bps[mid]) <= 0:
+            lo = mid
+        else:
+            hi = mid
+    a, b = bps[lo], bps[hi]
+    ta, tb = theta(a), theta(b)
+    q = weights(a - ta * (b - a) / (tb - ta))
+    assert sum(q) == 1
+    return sum(qi * x for qi, x in zip(q, L)) - mu / 2 * sum((qi - Fraction(1, n)) ** 2 for qi in q)
 
 
 def sorting_weights_euclidean(losses, p: float, mu: float) -> SmoothedOracleOutput:

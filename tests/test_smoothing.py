@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from tailopt.superquantile import exact_subgradient_weights, superquantile
 
 from helpers import (
     central_difference_gradient,
+    exact_euclidean_value,
     max_penalized_entropic,
     max_penalized_euclidean,
     penalized_objective,
@@ -123,6 +125,20 @@ class TestEuclideanSubroutine:
             out = smoothed_weights_euclidean(L, p, mu)
             direct = float(out.weights @ L - mu * out.penalty_value)
             assert out.value == pytest.approx(direct, rel=1e-9, abs=1e-12)
+
+    def test_value_accurate_to_rounding_at_small_mu(self):
+        # At mu = 1e-3, n = 200, one ulp of lam moves sum q by about 5e-13, and
+        # q @ L - mu*d(q) alone moves by lam times that drift of sum q.
+        ds = random_lsq_dataset(6, n=200, d=5, noise=0.3)
+        w_ls = np.linalg.lstsq(ds.features, ds.targets, rcond=None)[0]
+        rng = np.random.default_rng(7)
+        for scale in [1e-1, 1e-2]:
+            for _ in range(20):
+                w = w_ls + scale * rng.standard_normal(5)
+                L = 0.5 * (ds.features @ w - ds.targets) ** 2
+                out = smoothed_weights_euclidean(L, 0.9, 1e-3)
+                exact = exact_euclidean_value(L, 0.9, 1e-3)
+                assert abs(float(Fraction(out.value) - exact)) <= 4 * np.spacing(out.value)
 
     def test_root_bracketed_by_breakpoints(self):
         rng = np.random.default_rng(3)
@@ -281,11 +297,11 @@ class TestAgainstSortingReferences:
         assert got.value == pytest.approx(dual_value(want), rel=1e-12, abs=1e-12 * scale * mu)
         check_dual_weights(got.weights, 1.0 / (L.size * (1.0 - p)), sum_tol=1e-10 * scale)
 
-    @pytest.mark.parametrize("spread", [100.0, 599.0, 601.0, 5000.0])
-    def test_entropic_tail_sums_on_both_sides_of_the_spread_switch(self, spread):
+    @pytest.mark.parametrize("spread", [100.0, 1000.0, 5000.0])
+    def test_entropic_tail_sums_at_narrow_and_wide_spreads(self, spread):
         # The 31 largest losses (the candidates at p = 0.9, n = 300) span
-        # [0, spread].  Spreads of L/mu below 600 sum shifted exponentials
-        # directly; wider ones accumulate in the log domain.
+        # [0, spread]; past a spread of about 700 in L/mu, exp(-spread)
+        # underflows, so the tail sums must stay in the log domain.
         rng = np.random.default_rng(int(spread))
         L = np.concatenate([np.linspace(0.0, spread, 31), -1.0 - rng.random(269)])
         rng.shuffle(L)
