@@ -7,8 +7,8 @@ exact subgradient or smoothed gradient oracles and batch first-order solvers.
 from .core import (
     Dataset,
     EvaluationError,
+    MarginLoss,
     Penalty,
-    PerSampleLoss,
     RiskParams,
     batch_losses,
     check_dual_weights,
@@ -26,7 +26,6 @@ from .smoothing import (
     smoothed_oracle,
     smoothed_weights_entropic,
     smoothed_weights_euclidean,
-    theta_prime,
 )
 from .models import LinearLeastSquares, LinearLogistic, SingularSystemError, ols_closed_form
 from .solvers import (
@@ -58,8 +57,8 @@ __all__ = [
     "ExactOracleOutput",
     "LinearLeastSquares",
     "LinearLogistic",
+    "MarginLoss",
     "Penalty",
-    "PerSampleLoss",
     "QuantileReport",
     "RiskParams",
     "SingularSystemError",
@@ -86,7 +85,6 @@ __all__ = [
     "smoothed_weights_entropic",
     "smoothed_weights_euclidean",
     "superquantile",
-    "theta_prime",
     "train_test_split",
     "tune_initial_step",
 ]

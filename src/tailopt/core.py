@@ -1,18 +1,18 @@
-"""Shared domain types and the batch loss/Jacobian evaluation contract."""
+"""Shared domain types, the margin-loss contract and the one-pass oracle pipeline."""
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
+from typing import Protocol
 
 import numpy as np
 
 __all__ = [
     "Dataset",
     "EvaluationError",
+    "MarginLoss",
     "Penalty",
-    "PerSampleLoss",
     "RiskParams",
     "batch_losses",
     "check_dual_weights",
@@ -124,46 +124,31 @@ def check_dual_weights(q, cap: float, sum_tol: float = 1e-10, box_tol: float = 1
     return q
 
 
-class PerSampleLoss(ABC):
-    """Loss of a single sample as a function of the parameter vector.
+class MarginLoss(Protocol):
+    """Loss of each sample as a function of its margin z_i = x_i @ w.
 
-    Subclasses implement ``value`` and ``gradient`` for one (x, y) pair.  The
-    batch hooks below have generic per-sample fallbacks; vectorised models
-    override them for speed.  Implementations must be stateless.
+    ``value(z, y)`` and ``slope(z, y)`` act elementwise on equal-length
+    margins and targets: the per-sample losses and their derivatives in z.
+    Sample i then has gradient ``slope_i * x_i`` in the parameters, so one
+    product ``X @ w`` serves both.  Implementations must be stateless.
     """
 
-    @abstractmethod
-    def value(self, w: np.ndarray, x: np.ndarray, y: float) -> float:
-        """Loss at parameters ``w`` for the sample (x, y)."""
+    def value(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Per-sample losses at margins ``z``."""
 
-    @abstractmethod
-    def gradient(self, w: np.ndarray, x: np.ndarray, y: float) -> np.ndarray:
-        """Gradient of :meth:`value` with respect to ``w``."""
-
-    def batch_values(self, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.array(
-            [self.value(w, X[i], y[i]) for i in range(X.shape[0])], dtype=float
-        )
-
-    def weighted_gradient_sum(
-        self, w: np.ndarray, X: np.ndarray, y: np.ndarray, q: np.ndarray
-    ) -> np.ndarray:
-        acc = np.zeros(X.shape[1])
-        for i in range(X.shape[0]):
-            acc += q[i] * np.asarray(self.gradient(w, X[i], y[i]), dtype=float)
-        return acc
+    def slope(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Derivative of :meth:`value` in each margin."""
 
 
-def batch_losses(loss: PerSampleLoss, data: Dataset, w) -> np.ndarray:
-    """Evaluate the per-sample losses at ``w``, returning a length-n vector.
-
-    Entry ``i`` equals ``loss.value(w, x_i, y_i)``.  A non-finite loss raises
-    :class:`EvaluationError` naming the offending sample.
-    """
+def _margins(data: Dataset, w) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.shape != (data.d,):
         raise ValueError(f"parameter vector has shape {w.shape}, expected ({data.d},)")
-    values = np.asarray(loss.batch_values(w, data.features, data.targets), dtype=float)
+    return data.features @ w
+
+
+def _losses(loss: MarginLoss, data: Dataset, z: np.ndarray) -> np.ndarray:
+    values = np.asarray(loss.value(z, data.targets), dtype=float)
     bad = ~np.isfinite(values)
     if bad.any():
         raise EvaluationError(
@@ -172,33 +157,61 @@ def batch_losses(loss: PerSampleLoss, data: Dataset, w) -> np.ndarray:
     return values
 
 
-def jacobian_transpose_apply(loss: PerSampleLoss, data: Dataset, w, q) -> np.ndarray:
-    """Weighted combination of per-sample gradients: sum_i q_i * grad L^i(w).
-
-    Samples with exactly zero weight are skipped, so the cost is
-    O(|support| * d).  A non-finite gradient raises :class:`EvaluationError`
-    naming the offending sample.
-    """
-    w = np.asarray(w, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if w.shape != (data.d,):
-        raise ValueError(f"parameter vector has shape {w.shape}, expected ({data.d},)")
-    if q.shape != (data.n,):
-        raise ValueError(f"weight vector has shape {q.shape}, expected ({data.n},)")
+def _gradient(loss: MarginLoss, data: Dataset, z: np.ndarray, q: np.ndarray) -> np.ndarray:
+    # sum_i q_i * slope_i * x_i over the support S of q: X[S].T @ (q_S * slope_S).
     if q.all():
         # Full support: pass the stored arrays on as they are, with no row copy.
-        X, y, qs = data.features, data.targets, q
+        support = None
+        X, y, zs, qs = data.features, data.targets, z, q
     else:
-        support = np.flatnonzero(q)
+        support = np.flatnonzero(q != 0)
         if support.size == 0:
             return np.zeros(data.d)
-        X, y, qs = data.features[support], data.targets[support], q[support]
-    g = np.asarray(loss.weighted_gradient_sum(w, X, y, qs), dtype=float)
+        X = data.features.take(support, axis=0)
+        y, zs, qs = data.targets[support], z[support], q[support]
+    slope = np.asarray(loss.slope(zs, y), dtype=float)
+    g = X.T @ (qs * slope)
     if not np.isfinite(g).all():
-        # Slow path only taken on failure: locate the first bad sample.
-        for i in np.flatnonzero(q):
-            gi = np.asarray(loss.gradient(w, data.features[i], data.targets[i]), dtype=float)
-            if not np.isfinite(gi).all():
-                raise EvaluationError(f"non-finite gradient at sample {int(i)}")
+        bad = np.flatnonzero(~np.isfinite(slope))
+        if bad.size:
+            i = bad[0] if support is None else support[bad[0]]
+            raise EvaluationError(f"non-finite gradient at sample {int(i)}")
         raise EvaluationError("non-finite gradient accumulation")
     return g
+
+
+def _oracle(loss: MarginLoss, data: Dataset, w, weigh) -> tuple[float, np.ndarray]:
+    """Value and gradient of a dual-weighted objective in one pass over the data.
+
+    ``weigh`` maps the loss vector to an output with ``value`` and ``weights``
+    (the exact or a smoothed dual maximizer).  The margins ``X @ w`` are formed
+    once and serve both the losses and the gradient; :func:`batch_losses` then
+    :func:`jacobian_transpose_apply` do the same arithmetic, bit for bit.
+    """
+    z = _margins(data, w)
+    out = weigh(_losses(loss, data, z))
+    return out.value, _gradient(loss, data, z, out.weights)
+
+
+def batch_losses(loss: MarginLoss, data: Dataset, w) -> np.ndarray:
+    """Evaluate the per-sample losses at ``w``, returning a length-n vector.
+
+    Entry ``i`` equals ``loss.value`` at the margin ``x_i @ w``.  A non-finite
+    loss raises :class:`EvaluationError` naming the offending sample.
+    """
+    return _losses(loss, data, _margins(data, w))
+
+
+def jacobian_transpose_apply(loss: MarginLoss, data: Dataset, w, q) -> np.ndarray:
+    """Weighted combination of per-sample gradients: sum_i q_i * grad L^i(w).
+
+    Samples with exactly zero weight are skipped, so past the one ``X @ w``
+    the cost is O(|support| * d) and ``loss.slope`` sees only the support.  A
+    non-finite gradient raises :class:`EvaluationError` naming the offending
+    sample.
+    """
+    z = _margins(data, w)
+    q = np.asarray(q, dtype=float)
+    if q.shape != (data.n,):
+        raise ValueError(f"weight vector has shape {q.shape}, expected ({data.n},)")
+    return _gradient(loss, data, z, q)

@@ -1,7 +1,8 @@
-"""Concrete per-sample losses for linear models, and the closed-form baseline.
+"""Margin losses for linear models, and the closed-form baseline.
 
-Both losses are stateless and convex in the parameters.  An intercept is the
-caller's responsibility: append a constant-1 feature column if you want one.
+Both losses follow :class:`~tailopt.core.MarginLoss`, are stateless and are
+convex in the parameters.  An intercept is the caller's responsibility: append
+a constant-1 feature column if you want one.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit
 
-from .core import Dataset, PerSampleLoss
+from .core import Dataset
 
 __all__ = [
     "LinearLeastSquares",
@@ -23,56 +24,33 @@ class SingularSystemError(ValueError):
     """Normal equations are singular; retry with a positive ridge."""
 
 
-class LinearLeastSquares(PerSampleLoss):
-    """0.5 * (y - w @ x)**2 with gradient -(y - w @ x) * x."""
+class LinearLeastSquares:
+    """0.5 * (y - z)**2 at the margin z = w @ x, with slope z - y."""
 
-    def value(self, w, x, y):
-        r = y - x @ w
+    def value(self, z, y):
+        r = y - z
         return 0.5 * r * r
 
-    def gradient(self, w, x, y):
-        return -(y - x @ w) * np.asarray(x, dtype=float)
-
-    def batch_values(self, w, X, y):
-        r = y - X @ w
-        return 0.5 * r * r
-
-    def weighted_gradient_sum(self, w, X, y, q):
-        r = y - X @ w
-        return -(X.T @ (q * r))
+    def slope(self, z, y):
+        return z - y
 
 
-class LinearLogistic(PerSampleLoss):
-    """log(1 + exp(-y * w @ x)) for labels y in {-1, +1}.
+class LinearLogistic:
+    """log(1 + exp(-y * z)) at the margin z = w @ x, for labels y in {-1, +1}.
 
     Evaluated through the stable softplus form, so margins of magnitude
     several hundred neither overflow nor lose the sign.
     """
 
-    @staticmethod
-    def _check_label(y):
-        if y not in (-1, 1):
-            raise ValueError(f"logistic targets must be -1 or +1, got {y!r}")
+    def value(self, z, y):
+        bad = np.flatnonzero(np.abs(y) != 1.0)
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"logistic targets must be -1 or +1, got {y[i]!r} at sample {i}")
+        return np.logaddexp(0.0, -y * z)
 
-    def value(self, w, x, y):
-        self._check_label(y)
-        return float(np.logaddexp(0.0, -y * (x @ w)))
-
-    def gradient(self, w, x, y):
-        self._check_label(y)
-        m = y * (x @ w)
-        return -y * expit(-m) * np.asarray(x, dtype=float)
-
-    def batch_values(self, w, X, y):
-        if not np.isin(y, (-1.0, 1.0)).all():
-            bad = int(np.flatnonzero(~np.isin(y, (-1.0, 1.0)))[0])
-            raise ValueError(f"logistic targets must be -1 or +1, got {y[bad]!r} at sample {bad}")
-        return np.logaddexp(0.0, -y * (X @ w))
-
-    def weighted_gradient_sum(self, w, X, y, q):
-        m = y * (X @ w)
-        coef = -y * expit(-m) * q
-        return X.T @ coef
+    def slope(self, z, y):
+        return -y * expit(-(y * z))
 
 
 def ols_closed_form(data: Dataset, ridge: float = 0.0) -> np.ndarray:

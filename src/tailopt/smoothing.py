@@ -41,14 +41,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, PerSampleLoss, RiskParams, batch_losses, jacobian_transpose_apply
+from .core import Dataset, MarginLoss, Penalty, RiskParams, _oracle
+# The oracle's layer functions, kept as attributes of this module: the
+# benchmark's traced runs rebind them here (bench/workloads.py).
+from .core import batch_losses, jacobian_transpose_apply  # noqa: F401
 
 __all__ = [
     "SmoothedOracleOutput",
     "smoothed_oracle",
     "smoothed_weights_entropic",
     "smoothed_weights_euclidean",
-    "theta_prime",
 ]
 
 
@@ -89,20 +91,6 @@ def _uniform_output(L: np.ndarray, lam: float) -> SmoothedOracleOutput:
     return SmoothedOracleOutput(
         value=float(q @ L), weights=q, lam=lam, penalty_value=0.0
     )
-
-
-def theta_prime(lam: float, losses, p: float, mu: float) -> float:
-    """Derivative of the Euclidean dual function at multiplier ``lam``.
-
-    Nondecreasing in ``lam``; tends to 1 for large ``lam`` and to
-    1 - n*cap < 0 below all breakpoints when p > 0.  The root is the optimal
-    multiplier of :func:`smoothed_weights_euclidean`.
-    """
-    L = _validate(losses, p, mu)
-    n = L.size
-    cap = 1.0 / (n * (1.0 - p))
-    u = L + mu / n
-    return float(1.0 - np.clip((u - lam) / mu, 0.0, cap).sum())
 
 
 def smoothed_weights_euclidean(losses, p: float, mu: float) -> SmoothedOracleOutput:
@@ -235,7 +223,7 @@ def smoothed_weights_entropic(losses, p: float, mu: float) -> SmoothedOracleOutp
 
 
 def smoothed_oracle(
-    loss: PerSampleLoss, data: Dataset, w, params: RiskParams
+    loss: MarginLoss, data: Dataset, w, params: RiskParams
 ) -> tuple[float, np.ndarray]:
     """Smoothed objective value and gradient at parameters ``w``.
 
@@ -245,10 +233,9 @@ def smoothed_oracle(
     """
     if params.mu is None or not params.mu > 0.0:
         raise ValueError("smoothed oracle requires mu > 0 in RiskParams")
-    L = batch_losses(loss, data, w)
-    if params.penalty.value == "entropic":
-        out = smoothed_weights_entropic(L, params.p, params.mu)
+    # Looked up at call time, so a rebound weight function is the one called.
+    if params.penalty is Penalty.ENTROPIC:
+        weights = smoothed_weights_entropic
     else:
-        out = smoothed_weights_euclidean(L, params.p, params.mu)
-    g = jacobian_transpose_apply(loss, data, w, out.weights)
-    return out.value, g
+        weights = smoothed_weights_euclidean
+    return _oracle(loss, data, w, lambda L: weights(L, params.p, params.mu))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, PerSampleLoss, batch_losses, jacobian_transpose_apply
+from .core import Dataset, MarginLoss, _oracle
 
 __all__ = [
     "ExactOracleOutput",
@@ -127,14 +127,11 @@ def exact_subgradient_weights(losses, p: float) -> ExactOracleOutput:
 
 
 def exact_oracle(
-    loss: PerSampleLoss, data: Dataset, w, p: float
+    loss: MarginLoss, data: Dataset, w, p: float
 ) -> tuple[float, np.ndarray]:
     """Superquantile objective value and one subgradient at parameters ``w``.
 
     The subgradient is the dual-weighted combination of per-sample gradients;
     for convex losses it satisfies the subgradient inequality globally.
     """
-    L = batch_losses(loss, data, w)
-    out = exact_subgradient_weights(L, p)
-    g = jacobian_transpose_apply(loss, data, w, out.weights)
-    return out.value, g
+    return _oracle(loss, data, w, lambda L: exact_subgradient_weights(L, p))

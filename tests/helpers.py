@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 from scipy.optimize import linprog
 
-from tailopt.core import Dataset, PerSampleLoss
+from tailopt.core import Dataset
 from tailopt.smoothing import SmoothedOracleOutput
 
 
@@ -160,6 +160,20 @@ def exact_euclidean_value(losses, p: float, mu: float) -> Fraction:
     q = weights(a - ta * (b - a) / (tb - ta))
     assert sum(q) == 1
     return sum(qi * x for qi, x in zip(q, L)) - mu / 2 * sum((qi - Fraction(1, n)) ** 2 for qi in q)
+
+
+def theta_prime(lam: float, losses, p: float, mu: float) -> float:
+    """Derivative of the Euclidean dual function at multiplier ``lam``.
+
+    Nondecreasing in ``lam``; tends to 1 for large ``lam`` and to
+    1 - n*cap < 0 below all breakpoints when p > 0.  Its root is the optimal
+    multiplier of :func:`tailopt.smoothing.smoothed_weights_euclidean`.
+    """
+    L = np.asarray(losses, dtype=float)
+    n = L.size
+    cap = 1.0 / (n * (1.0 - p))
+    u = L + mu / n
+    return float(1.0 - np.clip((u - lam) / mu, 0.0, cap).sum())
 
 
 def sorting_weights_euclidean(losses, p: float, mu: float) -> SmoothedOracleOutput:
@@ -336,31 +350,44 @@ def random_lsq_dataset(seed: int, n: int, d: int, noise: float = 0.5) -> Dataset
     return Dataset(X, y)
 
 
-class AbsoluteDeviationLoss(PerSampleLoss):
-    """|y - w @ x|; x = [1], y = 0 turns the objective into |w|."""
-
-    def value(self, w, x, y):
-        return abs(y - x @ w)
-
-    def gradient(self, w, x, y):
-        return -np.sign(y - x @ w) * np.asarray(x, dtype=float)
+def sample_value(loss, w, x, y) -> float:
+    """Loss of the single sample (x, y) at parameters ``w``."""
+    return float(loss.value(np.array([x @ w]), np.array([y], dtype=float))[0])
 
 
-class CountingLoss(PerSampleLoss):
-    """Quadratic loss that counts how often each entry point is hit."""
+def sample_gradient(loss, w, x, y) -> np.ndarray:
+    """Gradient in ``w`` of the single sample (x, y): its slope times x."""
+    x = np.asarray(x, dtype=float)
+    return loss.slope(np.array([x @ w]), np.array([y], dtype=float))[0] * x
+
+
+class AbsoluteDeviationLoss:
+    """|y - z| at the margin z; x = [1], y = 0 turns the objective into |w|."""
+
+    def value(self, z, y):
+        return np.abs(y - z)
+
+    def slope(self, z, y):
+        return -np.sign(y - z)
+
+
+class CountingLoss:
+    """Quadratic margin loss that counts its calls and the samples each one sees."""
 
     def __init__(self):
         self.value_calls = 0
-        self.gradient_calls = 0
+        self.slope_calls = 0
+        self.slope_samples = 0
 
-    def value(self, w, x, y):
+    def value(self, z, y):
         self.value_calls += 1
-        r = y - x @ w
+        r = y - z
         return 0.5 * r * r
 
-    def gradient(self, w, x, y):
-        self.gradient_calls += 1
-        return -(y - x @ w) * np.asarray(x, dtype=float)
+    def slope(self, z, y):
+        self.slope_calls += 1
+        self.slope_samples += len(z)
+        return z - y
 
 
 def quadratic_oracle(A: np.ndarray, b: np.ndarray):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import tailopt
+import tailopt.cli
 from tailopt.cli import main
 from tailopt.core import Dataset
 from tailopt.dataio import load_csv, residual_quantile_report, save_csv
@@ -330,6 +331,28 @@ class TestExperiment:
         )
         assert code == 0
         assert len(lines[-1]["rows"]) == 4
+
+    def test_trains_on_generated_data_without_reading_it_back(self, tmp_path, capsys, monkeypatch):
+        flags = ["--seed", "5", "--n", "300", "--d", "6", "--rank", "3", "--test-n", "80"]
+        code, _, _ = run_cli(
+            capsys,
+            ["gen-data", *flags, "--out-train", str(tmp_path / "train.csv"),
+             "--out-test", str(tmp_path / "test.csv")],
+        )
+        assert code == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("experiment read a CSV back")
+
+        monkeypatch.setattr(tailopt.cli, "load_csv", refuse)
+        code, lines, _ = run_cli(
+            capsys, ["experiment", *flags, "--max-iters", "30", "--out-dir", str(tmp_path / "exp")]
+        )
+        assert code == 0
+        assert len(lines[-1]["rows"]) == 4
+        # The files are still written, byte for byte as gen-data writes them.
+        for name in ("train.csv", "test.csv"):
+            assert (tmp_path / "exp" / name).read_bytes() == (tmp_path / name).read_bytes()
 
     def test_same_seed_reproduces_results(self, tmp_path, capsys):
         args = [

@@ -5,7 +5,6 @@ from tailopt.core import (
     Dataset,
     EvaluationError,
     Penalty,
-    PerSampleLoss,
     RiskParams,
     batch_losses,
     check_dual_weights,
@@ -13,7 +12,7 @@ from tailopt.core import (
 )
 from tailopt.models import LinearLeastSquares
 
-from helpers import CountingLoss, random_lsq_dataset
+from helpers import CountingLoss, random_lsq_dataset, sample_gradient
 
 
 class TestDataset:
@@ -123,12 +122,9 @@ class TestBatchLosses:
             batch_losses(LinearLeastSquares(), ds, np.zeros(4))
 
     def test_nonfinite_loss_names_sample(self):
-        class Exploding(PerSampleLoss):
-            def value(self, w, x, y):
-                return np.inf if y > 2.5 else 0.0
-
-            def gradient(self, w, x, y):
-                return np.zeros_like(w)
+        class Exploding(LinearLeastSquares):
+            def value(self, z, y):
+                return np.where(y > 2.5, np.inf, 0.0)
 
         ds = Dataset(np.ones((5, 1)), np.arange(5.0))
         with pytest.raises(EvaluationError, match="sample 3"):
@@ -143,7 +139,7 @@ class TestJacobianTransposeApply:
         q = np.zeros(6)
         q[2] = 1.0
         got = jacobian_transpose_apply(loss, ds, w, q)
-        want = loss.gradient(w, ds.features[2], ds.targets[2])
+        want = sample_gradient(loss, w, ds.features[2], ds.targets[2])
         assert np.allclose(got, want, rtol=1e-12)
 
     def test_uniform_weights_give_mean_gradient(self):
@@ -152,7 +148,7 @@ class TestJacobianTransposeApply:
         w = np.random.default_rng(6).standard_normal(3)
         got = jacobian_transpose_apply(loss, ds, w, np.full(8, 1.0 / 8))
         want = np.mean(
-            [loss.gradient(w, ds.features[i], ds.targets[i]) for i in range(8)], axis=0
+            [sample_gradient(loss, w, ds.features[i], ds.targets[i]) for i in range(8)], axis=0
         )
         assert np.allclose(got, want, rtol=1e-12)
 
@@ -162,7 +158,7 @@ class TestJacobianTransposeApply:
         rng = np.random.default_rng(8)
         w = rng.standard_normal(4)
         q = rng.random(9)
-        J = np.array([loss.gradient(w, ds.features[i], ds.targets[i]) for i in range(9)])
+        J = np.array([sample_gradient(loss, w, ds.features[i], ds.targets[i]) for i in range(9)])
         got = jacobian_transpose_apply(loss, ds, w, q)
         assert np.allclose(got, J.T @ q, atol=1e-12, rtol=1e-12)
 
@@ -193,28 +189,26 @@ class TestJacobianTransposeApply:
         q = np.zeros(10)
         q[[1, 4]] = 0.5
         jacobian_transpose_apply(loss, ds, np.zeros(2), q)
-        assert loss.gradient_calls == 2
+        assert (loss.slope_calls, loss.slope_samples) == (1, 2)
 
     def test_full_support_passes_stored_arrays_without_copy(self):
         ds = random_lsq_dataset(13, n=300, d=7)
         seen = []
 
         class Spy(LinearLeastSquares):
-            def weighted_gradient_sum(self, w, X, y, q):
-                seen.append((X, y, q))
-                return super().weighted_gradient_sum(w, X, y, q)
+            def slope(self, z, y):
+                seen.append(y)
+                return super().slope(z, y)
 
         rng = np.random.default_rng(14)
         w = rng.standard_normal(7)
         q = rng.random(300) + 0.1
         got = jacobian_transpose_apply(Spy(), ds, w, q)
-        X, y, qs = seen[0]
-        assert X is ds.features and y is ds.targets and qs is q
+        assert len(seen) == 1 and seen[0] is ds.targets
         # Same arithmetic as on a gathered copy of every row: bit-identical.
         rows = np.arange(300)
-        want = LinearLeastSquares().weighted_gradient_sum(
-            w, ds.features[rows], ds.targets[rows], q[rows]
-        )
+        X = ds.features[rows]
+        want = X.T @ (q[rows] * LinearLeastSquares().slope(X @ w, ds.targets[rows]))
         assert np.array_equal(got, want)
 
     def test_all_zero_weights(self):
@@ -223,17 +217,14 @@ class TestJacobianTransposeApply:
         assert np.array_equal(got, np.zeros(3))
 
     def test_nonfinite_gradient_names_sample(self):
-        class BadGrad(PerSampleLoss):
-            def value(self, w, x, y):
-                return 0.0
-
-            def gradient(self, w, x, y):
-                g = np.zeros_like(w)
-                if y == 2.0:
-                    g[0] = np.nan
-                return g
+        class BadSlope(LinearLeastSquares):
+            def slope(self, z, y):
+                return np.where(y == 2.0, np.nan, 0.0)
 
         ds = Dataset(np.ones((4, 2)), np.arange(4.0))
-        q = np.full(4, 0.25)
         with pytest.raises(EvaluationError, match="sample 2"):
-            jacobian_transpose_apply(BadGrad(), ds, np.zeros(2), q)
+            jacobian_transpose_apply(BadSlope(), ds, np.zeros(2), np.full(4, 0.25))
+        # On a sparse support the sample is named by its index in the data.
+        q = np.array([0.0, 0.0, 0.5, 0.5])
+        with pytest.raises(EvaluationError, match="sample 2"):
+            jacobian_transpose_apply(BadSlope(), ds, np.zeros(2), q)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tailopt.core import Dataset, RiskParams
+from tailopt.core import Dataset, RiskParams, batch_losses, jacobian_transpose_apply
 from tailopt.models import (
     LinearLeastSquares,
     LinearLogistic,
@@ -12,22 +12,27 @@ from tailopt.smoothing import smoothed_oracle
 from tailopt.solvers import SolverConfig, run_solver
 from tailopt.superquantile import exact_oracle
 
-from helpers import central_difference_gradient, random_lsq_dataset
+from helpers import (
+    central_difference_gradient,
+    random_lsq_dataset,
+    sample_gradient,
+    sample_value,
+)
 
 
 class TestLinearLeastSquares:
     def test_zero_parameters(self):
         loss = LinearLeastSquares()
         x = np.array([1.0, -2.0, 3.0])
-        assert loss.value(np.zeros(3), x, 2.0) == pytest.approx(2.0)
-        assert np.allclose(loss.gradient(np.zeros(3), x, 2.0), -2.0 * x)
+        assert sample_value(loss, np.zeros(3), x, 2.0) == pytest.approx(2.0)
+        assert np.allclose(sample_gradient(loss, np.zeros(3), x, 2.0), -2.0 * x)
 
     def test_exact_fit(self):
         loss = LinearLeastSquares()
         w = np.array([1.0, 0.0])
         x = np.array([1.0, 5.0])
-        assert loss.value(w, x, 1.0) == 0.0
-        assert np.allclose(loss.gradient(w, x, 1.0), 0.0)
+        assert sample_value(loss, w, x, 1.0) == 0.0
+        assert np.allclose(sample_gradient(loss, w, x, 1.0), 0.0)
 
     def test_gradient_matches_central_differences(self):
         loss = LinearLeastSquares()
@@ -35,8 +40,8 @@ class TestLinearLeastSquares:
         for _ in range(20):
             w, x = rng.standard_normal((2, 4))
             y = float(rng.standard_normal())
-            fd = central_difference_gradient(lambda v: loss.value(v, x, y), w)
-            got = loss.gradient(w, x, y)
+            fd = central_difference_gradient(lambda v: sample_value(loss, v, x, y), w)
+            got = sample_gradient(loss, w, x, y)
             assert np.linalg.norm(got - fd) / max(np.linalg.norm(fd), 1.0) < 1e-7
 
     def test_batch_hooks_match_scalar_paths(self):
@@ -45,12 +50,12 @@ class TestLinearLeastSquares:
         rng = np.random.default_rng(2)
         w = rng.standard_normal(3)
         q = rng.random(9)
-        vals = loss.batch_values(w, ds.features, ds.targets)
-        scalar_vals = [loss.value(w, ds.features[i], ds.targets[i]) for i in range(9)]
+        vals = batch_losses(loss, ds, w)
+        scalar_vals = [sample_value(loss, w, ds.features[i], ds.targets[i]) for i in range(9)]
         assert np.allclose(vals, scalar_vals, rtol=1e-14)
-        acc = loss.weighted_gradient_sum(w, ds.features, ds.targets, q)
+        acc = jacobian_transpose_apply(loss, ds, w, q)
         scalar_acc = sum(
-            q[i] * loss.gradient(w, ds.features[i], ds.targets[i]) for i in range(9)
+            q[i] * sample_gradient(loss, w, ds.features[i], ds.targets[i]) for i in range(9)
         )
         assert np.allclose(acc, scalar_acc, rtol=1e-12)
 
@@ -60,26 +65,27 @@ class TestLinearLogistic:
         loss = LinearLogistic()
         x = np.array([2.0, -1.0])
         for y in (-1.0, 1.0):
-            assert loss.value(np.zeros(2), x, y) == pytest.approx(np.log(2.0))
-            assert np.allclose(loss.gradient(np.zeros(2), x, y), -(y / 2.0) * x)
+            assert sample_value(loss, np.zeros(2), x, y) == pytest.approx(np.log(2.0))
+            assert np.allclose(sample_gradient(loss, np.zeros(2), x, y), -(y / 2.0) * x)
 
     def test_large_margin_is_stable(self):
         loss = LinearLogistic()
         w = np.array([40.0])
         x = np.array([1.0])
-        v = loss.value(w, x, 1.0)
+        v = sample_value(loss, w, x, 1.0)
         assert 0.0 < v < 1e-17
         assert v == pytest.approx(np.exp(-40.0), rel=1e-10)
         # The mirrored case must not overflow either.
-        v_neg = loss.value(w, x, -1.0)
+        v_neg = sample_value(loss, w, x, -1.0)
         assert v_neg == pytest.approx(40.0, rel=1e-12)
 
     def test_label_validation(self):
         loss = LinearLogistic()
         with pytest.raises(ValueError):
-            loss.value(np.zeros(1), np.ones(1), 0.5)
+            sample_value(loss, np.zeros(1), np.ones(1), 0.5)
+        ds = Dataset(np.ones((2, 1)), np.array([1.0, 0.0]))
         with pytest.raises(ValueError, match="sample 1"):
-            loss.batch_values(np.zeros(1), np.ones((2, 1)), np.array([1.0, 0.0]))
+            batch_losses(loss, ds, np.zeros(1))
 
     def test_gradient_matches_central_differences(self):
         loss = LinearLogistic()
@@ -87,8 +93,8 @@ class TestLinearLogistic:
         for _ in range(20):
             w, x = rng.standard_normal((2, 3))
             y = float(rng.choice([-1.0, 1.0]))
-            fd = central_difference_gradient(lambda v: loss.value(v, x, y), w)
-            got = loss.gradient(w, x, y)
+            fd = central_difference_gradient(lambda v: sample_value(loss, v, x, y), w)
+            got = sample_gradient(loss, w, x, y)
             assert np.linalg.norm(got - fd) / max(np.linalg.norm(fd), 1.0) < 1e-7
 
     def test_batch_hooks_match_scalar_paths(self):
@@ -98,10 +104,11 @@ class TestLinearLogistic:
         y = rng.choice([-1.0, 1.0], size=8)
         w = rng.standard_normal(3)
         q = rng.random(8)
-        vals = loss.batch_values(w, X, y)
-        assert np.allclose(vals, [loss.value(w, X[i], y[i]) for i in range(8)])
-        acc = loss.weighted_gradient_sum(w, X, y, q)
-        assert np.allclose(acc, sum(q[i] * loss.gradient(w, X[i], y[i]) for i in range(8)))
+        ds = Dataset(X, y)
+        vals = batch_losses(loss, ds, w)
+        assert np.allclose(vals, [sample_value(loss, w, X[i], y[i]) for i in range(8)])
+        acc = jacobian_transpose_apply(loss, ds, w, q)
+        assert np.allclose(acc, sum(q[i] * sample_gradient(loss, w, X[i], y[i]) for i in range(8)))
 
 
 class TestOlsClosedForm:
@@ -164,8 +171,8 @@ class TestConvexity:
             w1, w2, x = rng.standard_normal((3, 4))
             y = float(rng.choice([-1.0, 1.0]))
             t = float(rng.random())
-            mid = loss.value(t * w1 + (1 - t) * w2, x, y)
-            chord = t * loss.value(w1, x, y) + (1 - t) * loss.value(w2, x, y)
+            mid = sample_value(loss, t * w1 + (1 - t) * w2, x, y)
+            chord = t * sample_value(loss, w1, x, y) + (1 - t) * sample_value(loss, w2, x, y)
             assert mid <= chord + 1e-10
 
     def test_tail_objective_midpoint_convexity(self):

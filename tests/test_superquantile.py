@@ -16,6 +16,8 @@ from helpers import (
     lp_max_value,
     quantile_by_cdf_scan,
     random_lsq_dataset,
+    sample_gradient,
+    sample_value,
     superquantile_by_integration,
     vertex_max_value,
 )
@@ -187,17 +189,17 @@ class TestExactOracle:
         w = np.array([0.3, -0.2, 0.1])
         for p in [0.0, 0.5, 0.9]:
             value, grad = exact_oracle(loss, ds, w, p)
-            assert value == pytest.approx(loss.value(w, ds.features[0], ds.targets[0]))
-            assert np.allclose(grad, loss.gradient(w, ds.features[0], ds.targets[0]))
+            assert value == pytest.approx(sample_value(loss, w, ds.features[0], ds.targets[0]))
+            assert np.allclose(grad, sample_gradient(loss, w, ds.features[0], ds.targets[0]))
 
     def test_p_zero_matches_mean_gradient(self):
         ds = random_lsq_dataset(11, n=12, d=4)
         loss = LinearLeastSquares()
         w = np.random.default_rng(12).standard_normal(4)
         value, grad = exact_oracle(loss, ds, w, 0.0)
-        L = np.array([loss.value(w, ds.features[i], ds.targets[i]) for i in range(12)])
+        L = np.array([sample_value(loss, w, ds.features[i], ds.targets[i]) for i in range(12)])
         G = np.mean(
-            [loss.gradient(w, ds.features[i], ds.targets[i]) for i in range(12)], axis=0
+            [sample_gradient(loss, w, ds.features[i], ds.targets[i]) for i in range(12)], axis=0
         )
         assert value == pytest.approx(L.mean())
         assert np.allclose(grad, G, rtol=1e-12)
@@ -208,10 +210,10 @@ class TestExactOracle:
         w = np.array([0.5, -1.0])
         p = 0.5
         value, grad = exact_oracle(loss, ds, w, p)
-        L = np.array([loss.value(w, ds.features[i], ds.targets[i]) for i in range(4)])
+        L = np.array([sample_value(loss, w, ds.features[i], ds.targets[i]) for i in range(4)])
         assert value == pytest.approx(vertex_max_value(L, cap=0.5), abs=1e-12)
         out = exact_subgradient_weights(L, p)
-        J = np.array([loss.gradient(w, ds.features[i], ds.targets[i]) for i in range(4)])
+        J = np.array([sample_gradient(loss, w, ds.features[i], ds.targets[i]) for i in range(4)])
         assert np.allclose(grad, J.T @ out.weights, atol=1e-12)
 
     def test_subgradient_inequality(self):
