@@ -164,14 +164,19 @@ def save_csv(data: Dataset, path, target_column: str = "target") -> None:
     gives, CRLF line ends included; the numeric body is formatted in blocks of
     rows, so only one block at a time exists as Python floats.
     """
-    row_format = ",".join(["%.17g"] * (data.d + 1)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow([f"x{j}" for j in range(data.d)] + [target_column])
-        for i in range(0, data.n, _CSV_CHUNK_ROWS):
-            block = np.column_stack(
-                (data.features[i : i + _CSV_CHUNK_ROWS], data.targets[i : i + _CSV_CHUNK_ROWS])
-            )
-            fh.write((row_format * block.shape[0]) % tuple(block.ravel().tolist()))
+        _write_csv(data, fh, target_column)
+
+
+def _write_csv(data: Dataset, fh, target_column: str) -> None:
+    """:func:`save_csv`'s output, written to a text file opened with ``newline=""``."""
+    row_format = ",".join(["%.17g"] * (data.d + 1)) + "\r\n"
+    csv.writer(fh).writerow([f"x{j}" for j in range(data.d)] + [target_column])
+    for i in range(0, data.n, _CSV_CHUNK_ROWS):
+        block = np.column_stack(
+            (data.features[i : i + _CSV_CHUNK_ROWS], data.targets[i : i + _CSV_CHUNK_ROWS])
+        )
+        fh.write((row_format * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def load_csv(path, target_column: str = "target") -> Dataset:

@@ -1,4 +1,6 @@
+import errno
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -10,7 +12,7 @@ import pytest
 import tailopt
 import tailopt.cli
 from tailopt.cli import main
-from tailopt.core import Dataset
+from tailopt.core import Dataset, EvaluationError
 from tailopt.dataio import load_csv, residual_quantile_report, save_csv
 from tailopt.solvers import SolverResult, Termination
 
@@ -350,9 +352,79 @@ class TestExperiment:
         )
         assert code == 0
         assert len(lines[-1]["rows"]) == 4
+        assert multiprocessing.active_children() == []  # the CSV writer was joined
         # The files are still written, byte for byte as gen-data writes them.
         for name in ("train.csv", "test.csv"):
             assert (tmp_path / "exp" / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    FLAGS = ["--seed", "5", "--n", "300", "--d", "6", "--rank", "3", "--test-n", "80"]
+
+    def _experiment(self, tmp_path, capsys):
+        """Run the small experiment into ``tmp_path/exp``; return (code, lines, stderr)."""
+        return run_cli(
+            capsys, ["experiment", *self.FLAGS, "--max-iters", "30", "--out-dir", str(tmp_path / "exp")]
+        )
+
+    def _assert_csvs_match_gen_data(self, tmp_path, capsys):
+        code, _, _ = run_cli(
+            capsys,
+            ["gen-data", *self.FLAGS, "--out-train", str(tmp_path / "train.csv"),
+             "--out-test", str(tmp_path / "test.csv")],
+        )
+        assert code == 0
+        for name in ("train.csv", "test.csv"):
+            assert (tmp_path / "exp" / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    def test_directory_in_place_of_train_csv_exits_before_any_fit(self, tmp_path, capsys):
+        (tmp_path / "exp" / "train.csv").mkdir(parents=True)
+        code, lines, err = self._experiment(tmp_path, capsys)
+        assert code == 3
+        assert err.startswith("error: [Errno 21] Is a directory: ")
+        assert "training" not in err
+        assert lines == []
+        assert not (tmp_path / "exp" / "results.csv").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_oserror_in_writer_process_exits_three(self, tmp_path, capsys, monkeypatch):
+        def full_disk(data, fh, target_column):
+            raise OSError(errno.ENOSPC, "No space left on device", fh.name)
+
+        monkeypatch.setattr(tailopt.dataio, "_write_csv", full_disk)  # inherited by the fork
+        code, lines, err = self._experiment(tmp_path, capsys)
+        assert code == 3
+        assert "No space left on device" in err and "train.csv" in err
+        assert lines == []
+        assert not (tmp_path / "exp" / "results.csv").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_writer_process_that_dies_names_files_and_exit_code(self, tmp_path, capsys, monkeypatch):
+        def die(data, fh, target_column):
+            os._exit(9)
+
+        monkeypatch.setattr(tailopt.dataio, "_write_csv", die)
+        code, lines, err = self._experiment(tmp_path, capsys)
+        assert code == 3
+        message = err.splitlines()[-1]
+        assert message.startswith("error: ")
+        assert str(tmp_path / "exp" / "train.csv") in message
+        assert str(tmp_path / "exp" / "test.csv") in message
+        assert "code 9" in message
+        assert lines == []
+        assert not (tmp_path / "exp" / "results.csv").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_solver_error_waits_for_complete_files(self, tmp_path, capsys, monkeypatch):
+        def fail(oracle, config):
+            raise EvaluationError("non-finite loss at sample 0")
+
+        monkeypatch.setattr(tailopt.cli, "run_solver", fail)
+        code, lines, err = self._experiment(tmp_path, capsys)
+        assert code == 4
+        assert "non-finite loss at sample 0" in err
+        assert lines == []
+        assert multiprocessing.active_children() == []
+        monkeypatch.undo()
+        self._assert_csvs_match_gen_data(tmp_path, capsys)
 
     def test_same_seed_reproduces_results(self, tmp_path, capsys):
         args = [
@@ -385,6 +457,23 @@ class TestScriptability:
         for line in ev.stdout.splitlines():
             json.loads(line)  # every stdout line is machine-readable
         assert "metric" in ev.stderr
+
+    def test_experiment_stdout_is_one_json_line_in_subprocess(self, tmp_path):
+        # stdout is a pipe here, so fully buffered: output left in its buffer
+        # when the CSV writer forks would be printed twice.
+        run = run_module(
+            [
+                "experiment", "--seed", "1", "--n", "200", "--d", "5", "--rank", "3",
+                "--test-n", "50", "--max-iters", "20", "--out-dir", str(tmp_path / "exp"),
+            ]
+        )
+        assert run.returncode == 0
+        lines = run.stdout.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["command"] == "experiment"
+        assert [line for line in run.stderr.splitlines() if line.startswith("training ")] == [
+            f"training {name} ..." for name in ("erm", "p0.5", "p0.7", "p0.9")
+        ]
 
     def test_missing_file_exit_code_in_subprocess(self, tmp_path):
         ev = run_module(
