@@ -45,7 +45,6 @@ from .dataio import (
     load_csv,
     residual_quantile_report,
     save_csv,
-    train_test_split,
 )
 
 __version__ = "0.1.0"
@@ -85,6 +84,5 @@ __all__ = [
     "smoothed_weights_entropic",
     "smoothed_weights_euclidean",
     "superquantile",
-    "train_test_split",
     "tune_initial_step",
 ]

@@ -2,9 +2,10 @@
 
 Scriptability contract: machine-readable output is line-delimited JSON on
 stdout only; human-readable diagnostics go to stderr.  Exit codes: 0 success,
-2 flag or validation errors, 3 I/O errors, 4 solver failure.  ``experiment``
-writes its data CSVs from a forked child that overlaps the fits, since their
-%.17g formatting costs about as much, and joins it before the results.
+2 flag or validation errors, 3 I/O errors, 4 solver failure (a singular ERM
+system, from collinear features, among them).  ``experiment`` writes its data
+CSVs from a forked child that overlaps the fits, since their %.17g formatting
+costs about as much, and joins it before the results.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .dataio import (
     save_csv,
     seed_streams,
 )
-from .models import LinearLeastSquares, ols_closed_form
+from .models import LinearLeastSquares, SingularSystemError, ols_closed_form
 from .smoothing import smoothed_oracle
 from .solvers import Algorithm, SolverConfig, Termination, run_solver
 from .superquantile import exact_oracle
@@ -67,55 +68,40 @@ def _add_synthetic_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--target-column", default="target")
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--p", type=float, default=0.9, help="tail level")
+def _add_fit_flags(p: argparse.ArgumentParser) -> None:
+    """The solver flags of ``train`` and ``experiment``.  The step size and
+    tolerances default to :class:`SolverConfig`'s; ``train`` has flags for them."""
     p.add_argument("--mu", type=float, default=1000.0, help="smoothing scale")
     p.add_argument("--penalty", choices=["euclidean", "entropic"], default="euclidean")
-    p.add_argument(
-        "--algorithm",
-        choices=[a.value for a in Algorithm],
-        default="lbfgs",
-    )
+    p.add_argument("--algorithm", choices=[a.value for a in Algorithm], default="lbfgs")
     p.add_argument("--max-iters", type=int, default=500)
-    p.add_argument("--step-size", default="auto")
-    p.add_argument("--grad-tol", type=float, default=1e-8)
-    p.add_argument("--f-tol", type=float, default=1e-10)
-    p.add_argument(
-        "--no-intercept",
-        action="store_true",
-        help="do not append a constant-1 feature column before training",
+    defaults = SolverConfig()
+    p.set_defaults(step_size=defaults.step_size, grad_tol=defaults.grad_tol, f_tol=defaults.f_tol)
+
+
+def _generate_pair(args):
+    """The synthetic spec the flags describe, and its train and test sets."""
+    spec = SyntheticSpec(
+        n=args.n,
+        d=args.d,
+        effective_rank=args.rank,
+        bernoulli_p=args.bernoulli_p,
+        laplace_loc=args.laplace_loc,
+        laplace_scale=args.laplace_scale,
+        seed=args.seed,
     )
-
-
-def _parse_step(raw) -> float | str:
-    if isinstance(raw, str) and raw != "auto":
-        return float(raw)
-    return raw
-
-
-def _generate_pair(spec: SyntheticSpec, test_n: int):
     streams = seed_streams(spec.seed)
     w_bar = resolve_w_bar(spec, streams["w_bar"])
     X_train = generate_low_rank(spec.n, spec.d, spec.effective_rank, streams["train_matrix"])
     y_train = generate_targets(X_train, w_bar, spec, streams["train_noise"])
-    X_test = generate_low_rank(test_n, spec.d, spec.effective_rank, streams["test_matrix"])
+    X_test = generate_low_rank(args.test_n, spec.d, spec.effective_rank, streams["test_matrix"])
     y_test = generate_targets(X_test, w_bar, spec, streams["test_noise"])
-    return Dataset(X_train, y_train), Dataset(X_test, y_test)
+    return spec, Dataset(X_train, y_train), Dataset(X_test, y_test)
 
 
-def _fit(
-    data: Dataset,
-    objective: str,
-    p: float,
-    mu: float,
-    penalty: str,
-    algorithm: str,
-    max_iters: int,
-    step_size,
-    grad_tol: float,
-    f_tol: float,
-) -> dict:
-    """Train on a prepared dataset and return weights plus run metadata."""
+def _fit(data: Dataset, args, objective: str, p: float) -> dict:
+    """Train ``objective`` at tail level ``p`` on a prepared dataset with the
+    solver flags in ``args``; return weights plus run metadata."""
     loss = LinearLeastSquares()
     if objective == "erm":
         w = ols_closed_form(data)
@@ -127,22 +113,22 @@ def _fit(
             "objective_trace": [final],
             "oracle_calls": 1,
         }
-    algo = Algorithm(algorithm)
+    algo = Algorithm(args.algorithm)
     if algo in (Algorithm.SUBGRADIENT, Algorithm.DUAL_AVERAGING):
         def oracle(w):
             return exact_oracle(loss, data, w, p)
     else:
-        params = RiskParams(p=p, mu=mu, penalty=penalty)
+        params = RiskParams(p=p, mu=args.mu, penalty=args.penalty)
 
         def oracle(w):
             return smoothed_oracle(loss, data, w, params)
 
     config = SolverConfig(
         algorithm=algo,
-        max_iters=max_iters,
-        grad_tol=grad_tol,
-        f_tol=f_tol,
-        step_size=_parse_step(step_size),
+        max_iters=args.max_iters,
+        grad_tol=args.grad_tol,
+        f_tol=args.f_tol,
+        step_size=args.step_size if args.step_size == "auto" else float(args.step_size),
         initial_point=np.zeros(data.d),
     )
     result = run_solver(oracle, config)
@@ -156,16 +142,7 @@ def _fit(
 
 
 def cmd_gen_data(args) -> int:
-    spec = SyntheticSpec(
-        n=args.n,
-        d=args.d,
-        effective_rank=args.rank,
-        bernoulli_p=args.bernoulli_p,
-        laplace_loc=args.laplace_loc,
-        laplace_scale=args.laplace_scale,
-        seed=args.seed,
-    )
-    train, test = _generate_pair(spec, args.test_n)
+    spec, train, test = _generate_pair(args)
     save_csv(train, args.out_train, target_column=args.target_column)
     save_csv(test, args.out_test, target_column=args.target_column)
     _emit(
@@ -194,18 +171,7 @@ def cmd_train(args) -> int:
     intercept = not args.no_intercept
     if intercept:
         data = append_intercept(data)
-    fit = _fit(
-        data,
-        args.objective,
-        args.p,
-        args.mu,
-        args.penalty,
-        args.algorithm,
-        args.max_iters,
-        args.step_size,
-        args.grad_tol,
-        args.f_tol,
-    )
+    fit = _fit(data, args, args.objective, args.p)
     model = {
         "weights": [float(v) for v in fit["weights"]],
         "config": {
@@ -331,18 +297,9 @@ def _csvs_written_in_child(jobs, target_column: str):
 
 
 def cmd_experiment(args) -> int:
-    spec = SyntheticSpec(
-        n=args.n,
-        d=args.d,
-        effective_rank=args.rank,
-        bernoulli_p=args.bernoulli_p,
-        laplace_loc=args.laplace_loc,
-        laplace_scale=args.laplace_scale,
-        seed=args.seed,
-    )
+    _, train, test = _generate_pair(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    train, test = _generate_pair(spec, args.test_n)
     # Formatting the CSVs as %.17g text costs about as much as the fits, so a
     # forked child writes them while the fits run, and is joined before the
     # results are written.  The files hold these values exactly (%.17g
@@ -357,10 +314,7 @@ def cmd_experiment(args) -> int:
             (f"p{p:g}", "superquantile", p) for p in TRAIN_P_LEVELS
         ]:
             _info(f"training {name} ...")
-            fit = _fit(
-                train, objective, p, args.mu, args.penalty, args.algorithm, args.max_iters,
-                "auto", 1e-8, 1e-10,
-            )
+            fit = _fit(train, args, objective, p)
             if fit["termination"] == Termination.LINE_SEARCH_FAILURE.value:
                 _info(f"error: line search failed while training {name}")
                 return EXIT_SOLVER
@@ -421,7 +375,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--objective", choices=["erm", "superquantile"], default="superquantile")
     p_train.add_argument("--target-column", default="target")
     p_train.add_argument("--seed", type=int, default=0)
-    _add_train_flags(p_train)
+    p_train.add_argument("--p", type=float, default=0.9, help="tail level")
+    _add_fit_flags(p_train)
+    # These three take their defaults from _add_fit_flags.
+    p_train.add_argument("--step-size")
+    p_train.add_argument("--grad-tol", type=float)
+    p_train.add_argument("--f-tol", type=float)
+    p_train.add_argument(
+        "--no-intercept",
+        action="store_true",
+        help="do not append a constant-1 feature column before training",
+    )
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="report residual quantiles of a trained model")
@@ -433,12 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", help="end-to-end synthetic study")
     _add_synthetic_flags(p_exp)
-    p_exp.add_argument("--mu", type=float, default=1000.0)
-    p_exp.add_argument("--penalty", choices=["euclidean", "entropic"], default="euclidean")
-    p_exp.add_argument(
-        "--algorithm", choices=[a.value for a in Algorithm], default="lbfgs"
-    )
-    p_exp.add_argument("--max-iters", type=int, default=500)
+    _add_fit_flags(p_exp)
     p_exp.add_argument("--out-dir", default="experiment_out")
     p_exp.set_defaults(func=cmd_experiment)
 
@@ -449,11 +408,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Each layer names the sample behind a non-finite value, so numpy's
+        # floating-point warnings would only bury that error on stderr.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except (DataFormatError, FileNotFoundError, OSError) as exc:
         _info(f"error: {exc}")
         return EXIT_IO
-    except EvaluationError as exc:
+    except (EvaluationError, SingularSystemError) as exc:
         _info(f"error: {exc}")
         return EXIT_SOLVER
     except ValueError as exc:

@@ -1,4 +1,4 @@
-"""Synthetic regression data, CSV ingestion, splitting, and residual reports.
+"""Synthetic regression data, CSV ingestion, and residual reports.
 
 All randomness flows through one 64-bit seed, split per purpose with
 ``numpy.random.SeedSequence`` (see :func:`seed_streams`), so a run is fully
@@ -32,7 +32,6 @@ __all__ = [
     "resolve_w_bar",
     "save_csv",
     "seed_streams",
-    "train_test_split",
 ]
 
 
@@ -88,7 +87,7 @@ class SyntheticSpec:
             raise ValueError(f"laplace_scale must be nonnegative, got {self.laplace_scale}")
 
 
-_STREAMS = ("train_matrix", "test_matrix", "w_bar", "train_noise", "test_noise", "split")
+_STREAMS = ("train_matrix", "test_matrix", "w_bar", "train_noise", "test_noise")
 
 
 def seed_streams(seed: int) -> dict[str, np.random.SeedSequence]:
@@ -256,25 +255,6 @@ def append_intercept(data: Dataset) -> Dataset:
     """Copy of the dataset with a trailing constant-1 feature column."""
     ones = np.ones((data.n, 1))
     return Dataset(np.hstack([data.features, ones]), data.targets)
-
-
-def train_test_split(data: Dataset, test_fraction: float, seed) -> tuple[Dataset, Dataset]:
-    """Disjoint, exhaustive, seeded split; test size = round(n * fraction)."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
-    if data.n < 2:
-        raise ValueError(f"need at least 2 samples to split, got {data.n}")
-    n_test = int(round(data.n * test_fraction))
-    if n_test < 1 or n_test >= data.n:
-        raise ValueError(
-            f"degenerate split: test size {n_test} of {data.n} samples"
-        )
-    perm = np.random.default_rng(seed).permutation(data.n)
-    test_idx, train_idx = perm[:n_test], perm[n_test:]
-    return (
-        Dataset(data.features[train_idx], data.targets[train_idx]),
-        Dataset(data.features[test_idx], data.targets[test_idx]),
-    )
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ __all__ = [
 
 
 class SingularSystemError(ValueError):
-    """Normal equations are singular; retry with a positive ridge."""
+    """The normal equations are singular: the features are collinear."""
 
 
 class LinearLeastSquares:
@@ -53,22 +53,20 @@ class LinearLogistic:
         return -y * expit(-(y * z))
 
 
-def ols_closed_form(data: Dataset, ridge: float = 0.0) -> np.ndarray:
+def ols_closed_form(data: Dataset) -> np.ndarray:
     """Least-squares parameters from a dense solve of the normal equations.
 
-    Solves (X^T X + ridge * I) w = X^T y.  With ridge = 0 a singular or
-    numerically rank-deficient system raises :class:`SingularSystemError`.
+    Solves X^T X w = X^T y.  A singular or numerically rank-deficient system,
+    as collinear features give, raises :class:`SingularSystemError`.
     """
-    if ridge < 0.0:
-        raise ValueError(f"ridge must be nonnegative, got {ridge}")
     X, y = data.features, data.targets
-    A = X.T @ X + ridge * np.eye(data.d)
+    A = X.T @ X
     b = X.T @ y
-    advice = "normal equations are singular; pass ridge > 0"
+    message = "normal equations are singular: the features are collinear"
     try:
         w = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(advice) from exc
-    if not np.isfinite(w).all() or (ridge == 0.0 and np.linalg.cond(A) > 1e14):
-        raise SingularSystemError(advice)
+        raise SingularSystemError(message) from exc
+    if not np.isfinite(w).all() or np.linalg.cond(A) > 1e14:
+        raise SingularSystemError(message)
     return w

@@ -44,7 +44,6 @@ __all__ = [
     "SolverResult",
     "Termination",
     "TuneStepWarning",
-    "nesterov_alpha_next",
     "run_solver",
     "tune_initial_step",
 ]
@@ -83,8 +82,7 @@ class SolverConfig:
 
     ``step_size`` is either a positive float or the string ``"auto"``, in
     which case :func:`tune_initial_step` picks it at the first iterate.  The
-    starting point is ``initial_point`` when given, else the zero vector of
-    length ``dim``.
+    starting point ``initial_point`` must be given before a run.
     """
 
     algorithm: Algorithm = Algorithm.LBFGS
@@ -93,7 +91,6 @@ class SolverConfig:
     f_tol: float = 1e-10
     step_size: float | str = "auto"
     initial_point: np.ndarray | None = None
-    dim: int | None = None
 
     def __post_init__(self):
         self.algorithm = Algorithm(self.algorithm)
@@ -108,14 +105,12 @@ class SolverConfig:
             raise ValueError(f"step_size must be positive, got {self.step_size}")
 
     def start_point(self) -> np.ndarray:
-        if self.initial_point is not None:
-            x0 = np.asarray(self.initial_point, dtype=float)
-            if x0.ndim != 1:
-                raise ValueError(f"initial_point must be 1-D, got shape {x0.shape}")
-            return x0.copy()
-        if self.dim is None:
-            raise ValueError("provide initial_point or dim in SolverConfig")
-        return np.zeros(self.dim)
+        if self.initial_point is None:
+            raise ValueError("provide initial_point in SolverConfig")
+        x0 = np.asarray(self.initial_point, dtype=float)
+        if x0.ndim != 1:
+            raise ValueError(f"initial_point must be 1-D, got shape {x0.shape}")
+        return x0.copy()
 
 
 @dataclass
@@ -232,17 +227,12 @@ def _gradient_descent(oracle: Oracle, x: np.ndarray, config: SolverConfig) -> St
         x, f, g = accepted
 
 
-def nesterov_alpha_next(alpha: float) -> float:
-    """One step of the momentum recursion a -> (1 + sqrt(1 + 4 a^2)) / 2."""
-    return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * alpha * alpha))
-
-
 def _accelerated_gradient(oracle: Oracle, x0: np.ndarray, config: SolverConfig) -> Steps:
     """Accelerated gradient with the standard momentum sequence.
 
     x_{s+1} = y_s - step * grad(y_s), then y_{s+1} extrapolates x_{s+1} past
     x_s with coefficient (a_s - 1) / a_{s+1}, where a starts at 1 and follows
-    :func:`nesterov_alpha_next` (so the second value is the golden ratio).
+    a -> (1 + sqrt(1 + 4 a^2)) / 2 (so the second value is the golden ratio).
     The recorded iterates are the y_s.  With an auto step the tuned step is
     halved: the tuner approximates the largest still-decreasing step while the
     scheme wants the inverse of the gradient's Lipschitz constant, about half
@@ -259,7 +249,7 @@ def _accelerated_gradient(oracle: Oracle, x0: np.ndarray, config: SolverConfig) 
             if isinstance(config.step_size, str):
                 step *= 0.5
         x_next = y - step * g
-        a_next = nesterov_alpha_next(a_cur)
+        a_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * a_cur * a_cur))
         y = x_next + ((a_cur - 1.0) / a_next) * (x_next - x_prev)
         x_prev = x_next
         a_cur = a_next

@@ -11,10 +11,10 @@ import pytest
 
 import tailopt
 import tailopt.cli
-from tailopt.cli import main
+from tailopt.cli import build_parser, main
 from tailopt.core import Dataset, EvaluationError
 from tailopt.dataio import load_csv, residual_quantile_report, save_csv
-from tailopt.solvers import SolverResult, Termination
+from tailopt.solvers import Algorithm, SolverConfig, SolverResult, Termination
 
 from helpers import random_lsq_dataset
 
@@ -186,6 +186,19 @@ class TestTrain:
         assert code == 4
         assert lines == []
         assert err.startswith("error: ")
+
+    def test_singular_erm_exits_solver_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((40, 1))
+        data = tmp_path / "dup.csv"
+        save_csv(Dataset(np.hstack([x, x]), rng.standard_normal(40)), data)  # duplicated column
+        argv = ["train", "--data", str(data), "--out", str(tmp_path / "m.json")]
+        code, lines, err = run_cli(capsys, argv + ["--objective", "erm"])
+        assert code == 4
+        assert lines == []
+        assert err == "error: normal equations are singular: the features are collinear\n"
+        code, _, _ = run_cli(capsys, argv)  # the superquantile fit needs no solve
+        assert code == 0
 
     def test_missing_data_file_is_io_error(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -426,6 +439,42 @@ class TestExperiment:
         monkeypatch.undo()
         self._assert_csvs_match_gen_data(tmp_path, capsys)
 
+    def test_singular_erm_exits_solver_error(self, tmp_path, capsys):
+        code, lines, err = run_cli(
+            capsys,
+            [
+                "experiment", "--n", "300", "--d", "10", "--rank", "1", "--test-n", "50",
+                "--max-iters", "5", "--out-dir", str(tmp_path / "exp"),
+            ],
+        )
+        assert code == 4
+        assert lines == []
+        assert err.splitlines()[-1] == (
+            "error: normal equations are singular: the features are collinear"
+        )
+        assert not (tmp_path / "exp" / "results.csv").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_fits_use_solver_config_defaults(self, tmp_path, capsys, monkeypatch):
+        configs = []
+        run_solver = tailopt.cli.run_solver
+
+        def recording(oracle, config):
+            configs.append(config)
+            return run_solver(oracle, config)
+
+        monkeypatch.setattr(tailopt.cli, "run_solver", recording)
+        code, _, _ = run_cli(
+            capsys, ["experiment", *self.FLAGS, "--out-dir", str(tmp_path / "exp")]
+        )
+        assert code == 0
+        assert len(configs) == 3
+        for config in configs:
+            assert config.max_iters == 500
+            assert config.step_size == "auto"
+            assert config.grad_tol == 1e-8
+            assert config.f_tol == 1e-10
+
     def test_same_seed_reproduces_results(self, tmp_path, capsys):
         args = [
             "experiment", "--seed", "3", "--n", "300", "--d", "8", "--rank", "4",
@@ -438,6 +487,76 @@ class TestExperiment:
         assert (tmp_path / "a" / "results.csv").read_bytes() == (
             tmp_path / "b" / "results.csv"
         ).read_bytes()
+
+
+class TestFitFlags:
+    def test_train_and_experiment_share_fit_defaults(self):
+        parser = build_parser()
+        train = vars(parser.parse_args(["train", "--data", "d.csv", "--out", "m.json"]))
+        experiment = vars(parser.parse_args(["experiment"]))
+        shared = ("mu", "penalty", "algorithm", "max_iters", "step_size", "grad_tol", "f_tol")
+        assert {k: train[k] for k in shared} == {k: experiment[k] for k in shared}
+        defaults = SolverConfig()
+        assert (train["step_size"], train["grad_tol"], train["f_tol"]) == (
+            defaults.step_size, defaults.grad_tol, defaults.f_tol
+        )
+
+    @staticmethod
+    def _record_configs(monkeypatch):
+        configs = []
+        run_solver = tailopt.cli.run_solver
+
+        def recording(oracle, config):
+            configs.append(config)
+            return run_solver(oracle, config)
+
+        monkeypatch.setattr(tailopt.cli, "run_solver", recording)
+        return configs
+
+    def test_train_flags_reach_solver_config(self, tmp_path, capsys, monkeypatch):
+        configs = self._record_configs(monkeypatch)
+        data, _ = write_consistent_csv(tmp_path)
+        code, _, _ = run_cli(
+            capsys,
+            [
+                "train", "--data", str(data), "--out", str(tmp_path / "m.json"),
+                "--algorithm", "subgradient", "--step-size", "0.01", "--grad-tol", "0",
+                "--f-tol", "1e-6", "--max-iters", "7",
+            ],
+        )
+        assert code == 0
+        [config] = configs
+        assert config.algorithm is Algorithm.SUBGRADIENT
+        assert config.max_iters == 7
+        assert config.step_size == 0.01 and isinstance(config.step_size, float)
+        assert config.grad_tol == 0.0
+        assert config.f_tol == 1e-6
+        assert np.array_equal(config.initial_point, np.zeros(5))  # intercept appended
+
+    def test_experiment_fit_flags_reach_every_fit(self, tmp_path, capsys, monkeypatch):
+        configs = self._record_configs(monkeypatch)
+        code, _, _ = run_cli(
+            capsys,
+            [
+                "experiment", *TestExperiment.FLAGS, "--algorithm", "gradient_descent",
+                "--max-iters", "7", "--out-dir", str(tmp_path / "exp"),
+            ],
+        )
+        assert code == 0
+        assert len(configs) == 3
+        for config in configs:
+            assert config.algorithm is Algorithm.GRADIENT_DESCENT
+            assert config.max_iters == 7
+            assert config.step_size == SolverConfig().step_size
+
+
+def test_main_leaves_numpy_error_state_unchanged(tmp_path, capsys):
+    before = np.geterr()
+    data, _ = write_consistent_csv(tmp_path)
+    out = str(tmp_path / "m.json")
+    assert run_cli(capsys, ["train", "--data", str(data), "--out", out])[0] == 0
+    assert run_cli(capsys, ["train", "--data", str(tmp_path / "none.csv"), "--out", out])[0] == 3
+    assert np.geterr() == before
 
 
 class TestScriptability:
@@ -474,6 +593,17 @@ class TestScriptability:
         assert [line for line in run.stderr.splitlines() if line.startswith("training ")] == [
             f"training {name} ..." for name in ("erm", "p0.5", "p0.7", "p0.9")
         ]
+
+    def test_overflow_leaves_only_the_error_line_on_stderr(self, tmp_path):
+        rng = np.random.default_rng(0)
+        data = tmp_path / "huge.csv"
+        save_csv(Dataset(1e160 * rng.standard_normal((30, 3)), rng.standard_normal(30)), data)
+        run = run_module(["train", "--data", str(data), "--out", str(tmp_path / "m.json")])
+        assert run.returncode == 4
+        assert run.stdout == ""
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: non-finite")
 
     def test_missing_file_exit_code_in_subprocess(self, tmp_path):
         ev = run_module(

@@ -132,19 +132,11 @@ class TestOlsClosedForm:
         X, y = ds.features, ds.targets
         assert np.linalg.norm(X.T @ (X @ w - y)) <= 1e-8 * np.linalg.norm(X.T @ y)
 
-    def test_singular_system_advises_ridge(self):
+    def test_singular_system_names_collinear_features(self):
         X = np.ones((5, 2))  # duplicated column
         ds = Dataset(X, np.arange(5.0))
-        with pytest.raises(SingularSystemError, match="ridge"):
+        with pytest.raises(SingularSystemError, match="features are collinear"):
             ols_closed_form(ds)
-        # A positive ridge makes the same system solvable.
-        w = ols_closed_form(ds, ridge=1e-6)
-        assert np.isfinite(w).all()
-
-    def test_negative_ridge_rejected(self):
-        ds = random_lsq_dataset(7, n=10, d=2)
-        with pytest.raises(ValueError):
-            ols_closed_form(ds, ridge=-1.0)
 
     def test_matches_lbfgs_on_mean_objective(self):
         ds = random_lsq_dataset(8, n=100, d=5)
@@ -157,7 +149,10 @@ class TestOlsClosedForm:
 
         result = run_solver(
             oracle,
-            SolverConfig(algorithm="lbfgs", max_iters=500, grad_tol=1e-12, f_tol=0.0, dim=5),
+            SolverConfig(
+                algorithm="lbfgs", max_iters=500, grad_tol=1e-12, f_tol=0.0,
+                initial_point=np.zeros(5),
+            ),
         )
         assert np.max(np.abs(result.solution - w_ols)) <= 1e-5
 

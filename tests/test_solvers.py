@@ -9,7 +9,6 @@ from tailopt.solvers import (
     SolverConfig,
     Termination,
     TuneStepWarning,
-    nesterov_alpha_next,
     run_solver,
     tune_initial_step,
 )
@@ -18,6 +17,11 @@ from tailopt.superquantile import exact_oracle
 from helpers import AbsoluteDeviationLoss, RecordingOracle, quadratic_oracle, random_lsq_dataset
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
+
+
+def nesterov_alpha_next(alpha):
+    """Reference momentum recursion a -> (1 + sqrt(1 + 4 a^2)) / 2."""
+    return 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * alpha * alpha))
 
 
 def abs_toy_oracle():
@@ -48,7 +52,7 @@ class TestSolverConfig:
             SolverConfig(grad_tol=-1e-3)
 
     def test_start_point_resolution(self):
-        assert np.array_equal(SolverConfig(dim=3).start_point(), np.zeros(3))
+        assert np.array_equal(SolverConfig(initial_point=np.zeros(3)).start_point(), np.zeros(3))
         x0 = np.array([1.0, 2.0])
         assert np.array_equal(SolverConfig(initial_point=x0).start_point(), x0)
         with pytest.raises(ValueError):
@@ -109,13 +113,17 @@ class TestSubgradientMethod:
         params = RiskParams(p=0.9, mu=1e-4)
         ref = run_solver(
             lambda w: smoothed_oracle(loss, ds, w, params),
-            SolverConfig(algorithm="lbfgs", max_iters=300, grad_tol=1e-10, f_tol=0.0, dim=5),
+            SolverConfig(
+                algorithm="lbfgs", max_iters=300, grad_tol=1e-10, f_tol=0.0,
+                initial_point=np.zeros(5),
+            ),
         )
         f_ref = exact(ref.solution)[0]
         r = run_solver(
             exact,
             SolverConfig(
-                algorithm="subgradient", max_iters=30000, grad_tol=0.0, f_tol=0.0, dim=5
+                algorithm="subgradient", max_iters=30000, grad_tol=0.0, f_tol=0.0,
+                initial_point=np.zeros(5)
             ),
         )
         assert exact(r.solution)[0] <= f_ref + 1e-3
@@ -173,7 +181,10 @@ class TestDualAveraging:
         oracle = lambda w: (0.0, np.zeros(1))
         r = run_solver(
             oracle,
-            SolverConfig(algorithm="dual_averaging", max_iters=10, grad_tol=0.0, dim=1),
+            SolverConfig(
+                algorithm="dual_averaging", max_iters=10, grad_tol=0.0,
+                initial_point=np.zeros(1),
+            ),
         )
         assert r.termination is Termination.GRAD_TOL
 
@@ -183,13 +194,17 @@ class TestDualAveraging:
         params = RiskParams(p=0.9, mu=1e-4)
         ref = run_solver(
             lambda w: smoothed_oracle(loss, ds, w, params),
-            SolverConfig(algorithm="lbfgs", max_iters=300, grad_tol=1e-10, f_tol=0.0, dim=5),
+            SolverConfig(
+                algorithm="lbfgs", max_iters=300, grad_tol=1e-10, f_tol=0.0,
+                initial_point=np.zeros(5),
+            ),
         )
         f_ref = exact(ref.solution)[0]
         r = run_solver(
             exact,
             SolverConfig(
-                algorithm="dual_averaging", max_iters=40000, grad_tol=0.0, f_tol=0.0, dim=5
+                algorithm="dual_averaging", max_iters=40000, grad_tol=0.0, f_tol=0.0,
+                initial_point=np.zeros(5)
             ),
         )
         assert exact(r.solution)[0] <= f_ref + 1e-3
@@ -213,7 +228,10 @@ class TestGradientDescent:
     def test_zero_gradient_start(self):
         oracle, _, _ = quadratic_oracle(np.eye(2), np.zeros(2))
         r = run_solver(
-            oracle, SolverConfig(algorithm="gradient_descent", max_iters=10, dim=2)
+            oracle, SolverConfig(
+                algorithm="gradient_descent", max_iters=10,
+                initial_point=np.zeros(2),
+            )
         )
         assert r.termination is Termination.GRAD_TOL
         assert len(r.objective_trace) == 1
@@ -223,13 +241,17 @@ class TestGradientDescent:
         gd = run_solver(
             smooth,
             SolverConfig(
-                algorithm="gradient_descent", max_iters=4000, grad_tol=1e-9, f_tol=0.0, dim=5
+                algorithm="gradient_descent", max_iters=4000, grad_tol=1e-9, f_tol=0.0,
+                initial_point=np.zeros(5)
             ),
         )
         diffs = np.diff(gd.objective_trace)
         assert (diffs <= 1e-14).all()
         ref = run_solver(
-            smooth, SolverConfig(algorithm="lbfgs", max_iters=500, grad_tol=1e-8, f_tol=0.0, dim=5)
+            smooth, SolverConfig(
+                algorithm="lbfgs", max_iters=500, grad_tol=1e-8, f_tol=0.0,
+                initial_point=np.zeros(5),
+            )
         )
         assert abs(gd.objective_trace.min() - ref.objective_trace.min()) <= 1e-6
 
@@ -337,7 +359,7 @@ class TestAcceleratedGradient:
                 grad_tol=0.0,
                 f_tol=0.0,
                 step_size=1.0,
-                dim=d,
+                initial_point=np.zeros(d),
             ),
         )
         agd = run_solver(
@@ -348,7 +370,7 @@ class TestAcceleratedGradient:
                 grad_tol=0.0,
                 f_tol=0.0,
                 step_size=1.0,
-                dim=d,
+                initial_point=np.zeros(d),
             ),
         )
 
@@ -399,7 +421,10 @@ class TestLbfgs:
     def test_tail_toy_reaches_tight_gradient(self):
         _, _, smooth = tail_toy()
         r = run_solver(
-            smooth, SolverConfig(algorithm="lbfgs", max_iters=500, grad_tol=1e-8, f_tol=0.0, dim=5)
+            smooth, SolverConfig(
+                algorithm="lbfgs", max_iters=500, grad_tol=1e-8, f_tol=0.0,
+                initial_point=np.zeros(5),
+            )
         )
         assert r.termination is Termination.GRAD_TOL
         # Armijo steps never raise the objective, so the solution, the latest
@@ -420,7 +445,10 @@ class TestLbfgs:
         params = RiskParams(p=0.9, mu=1000.0, penalty="euclidean")
         r = run_solver(
             lambda w: smoothed_oracle(loss, ds, w, params),
-            SolverConfig(algorithm="lbfgs", max_iters=300, grad_tol=1e-8, f_tol=0.0, dim=11),
+            SolverConfig(
+                algorithm="lbfgs", max_iters=300, grad_tol=1e-8, f_tol=0.0,
+                initial_point=np.zeros(11),
+            ),
         )
         assert r.termination is not Termination.LINE_SEARCH_FAILURE
 
@@ -467,7 +495,10 @@ class TestSharedContract:
         ]
         for algo, oracle in runs:
             rec = RecordingOracle(oracle)
-            r = run_solver(rec, SolverConfig(algorithm=algo, max_iters=budget, f_tol=0.0, dim=5))
+            r = run_solver(rec, SolverConfig(
+                algorithm=algo, max_iters=budget, f_tol=0.0,
+                initial_point=np.zeros(5),
+            ))
             assert 1 <= len(r.objective_trace) <= budget
             assert r.oracle_calls == len(rec.points)
             iterates = iterate_points(r, rec)
@@ -478,7 +509,10 @@ class TestSharedContract:
     def test_solution_is_argmin_of_trace(self):
         _, _, smooth = tail_toy()
         rec = RecordingOracle(smooth)
-        r = run_solver(rec, SolverConfig(algorithm="lbfgs", max_iters=40, f_tol=0.0, dim=5))
+        r = run_solver(rec, SolverConfig(
+            algorithm="lbfgs", max_iters=40, f_tol=0.0,
+            initial_point=np.zeros(5),
+        ))
         best_idx = last_argmin(r.objective_trace)
         assert np.array_equal(r.solution, iterate_points(r, rec)[best_idx])
         f_check, _ = smooth(r.solution)
@@ -500,7 +534,7 @@ class TestSharedContract:
 
     def test_bitwise_deterministic_runs(self):
         _, _, smooth = tail_toy()
-        cfg = dict(algorithm="lbfgs", max_iters=60, f_tol=0.0, dim=5)
+        cfg = dict(algorithm="lbfgs", max_iters=60, f_tol=0.0, initial_point=np.zeros(5))
         r1 = run_solver(smooth, SolverConfig(**cfg))
         r2 = run_solver(smooth, SolverConfig(**cfg))
         assert np.array_equal(r1.objective_trace, r2.objective_trace)
@@ -549,7 +583,10 @@ class TestSharedContract:
         d_max = 0.5 * (20 * (cap - 1 / 200.0) ** 2 + 180 * (1 / 200.0) ** 2)
         ref = run_solver(
             exact,
-            SolverConfig(algorithm="subgradient", max_iters=60000, grad_tol=0.0, f_tol=0.0, dim=5),
+            SolverConfig(
+                algorithm="subgradient", max_iters=60000, grad_tol=0.0, f_tol=0.0,
+                initial_point=np.zeros(5),
+            ),
         )
         f_star = exact(ref.solution)[0]
         prev = np.inf
@@ -557,7 +594,10 @@ class TestSharedContract:
             params = RiskParams(p=0.9, mu=mu)
             r = run_solver(
                 lambda w: smoothed_oracle(loss, ds, w, params),
-                SolverConfig(algorithm="lbfgs", max_iters=500, grad_tol=1e-9, f_tol=0.0, dim=5),
+                SolverConfig(
+                    algorithm="lbfgs", max_iters=500, grad_tol=1e-9, f_tol=0.0,
+                    initial_point=np.zeros(5),
+                ),
             )
             f_at_smooth_solution = exact(r.solution)[0]
             assert abs(f_at_smooth_solution - f_star) <= mu * d_max + 1e-3
