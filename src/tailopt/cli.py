@@ -68,6 +68,19 @@ def _add_synthetic_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--target-column", default="target")
 
 
+def _step_size(text: str) -> float | str:
+    """``--step-size``: ``auto`` or a finite positive float."""
+    if text == "auto":
+        return text
+    try:
+        value = float(text)
+        if 0.0 < value < np.inf:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected 'auto' or a finite positive number, got {text!r}")
+
+
 def _add_fit_flags(p: argparse.ArgumentParser) -> None:
     """The solver flags of ``train`` and ``experiment``.  The step size and
     tolerances default to :class:`SolverConfig`'s; ``train`` has flags for them."""
@@ -128,7 +141,7 @@ def _fit(data: Dataset, args, objective: str, p: float) -> dict:
         max_iters=args.max_iters,
         grad_tol=args.grad_tol,
         f_tol=args.f_tol,
-        step_size=args.step_size if args.step_size == "auto" else float(args.step_size),
+        step_size=args.step_size,
         initial_point=np.zeros(data.d),
     )
     result = run_solver(oracle, config)
@@ -378,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--p", type=float, default=0.9, help="tail level")
     _add_fit_flags(p_train)
     # These three take their defaults from _add_fit_flags.
-    p_train.add_argument("--step-size")
+    p_train.add_argument("--step-size", type=_step_size)
     p_train.add_argument("--grad-tol", type=float)
     p_train.add_argument("--f-tol", type=float)
     p_train.add_argument(

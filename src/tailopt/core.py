@@ -21,7 +21,8 @@ __all__ = [
 
 
 class EvaluationError(RuntimeError):
-    """A loss or gradient evaluation produced a non-finite value."""
+    """An oracle evaluation failed: a loss or gradient came out non-finite, or
+    the dual weight step lost its bracket at an extreme loss-to-mu ratio."""
 
 
 class Penalty(str, Enum):
@@ -149,24 +150,31 @@ def _margins(data: Dataset, w) -> np.ndarray:
 
 def _losses(loss: MarginLoss, data: Dataset, z: np.ndarray) -> np.ndarray:
     values = np.asarray(loss.value(z, data.targets), dtype=float)
-    bad = ~np.isfinite(values)
-    if bad.any():
-        raise EvaluationError(
-            f"non-finite loss value at sample {int(np.flatnonzero(bad)[0])}"
-        )
+    if not np.isfinite(values).all():
+        bad = np.flatnonzero(~np.isfinite(values))[0]
+        raise EvaluationError(f"non-finite loss value at sample {int(bad)}")
     return values
 
 
-def _gradient(loss: MarginLoss, data: Dataset, z: np.ndarray, q: np.ndarray) -> np.ndarray:
-    # sum_i q_i * slope_i * x_i over the support S of q: X[S].T @ (q_S * slope_S).
-    if q.all():
-        # Full support: pass the stored arrays on as they are, with no row copy.
-        support = None
+def _support(q: np.ndarray) -> np.ndarray | None:
+    """Ascending indices of the nonzero entries of ``q``, or None when all are."""
+    return None if q.all() else np.flatnonzero(q)
+
+
+def _gradient(
+    loss: MarginLoss, data: Dataset, z: np.ndarray, q: np.ndarray, support: np.ndarray | None
+) -> np.ndarray:
+    """sum_i q_i * slope_i * x_i over the support S of q: X[S].T @ (q_S * slope_S).
+
+    ``support`` holds the ascending indices of the nonzero entries of ``q``, or
+    is None when all n are nonzero; the stored arrays are then used as they
+    are, with no row copy.
+    """
+    if support is None:
         X, y, zs, qs = data.features, data.targets, z, q
+    elif support.size == 0:
+        return np.zeros(data.d)
     else:
-        support = np.flatnonzero(q != 0)
-        if support.size == 0:
-            return np.zeros(data.d)
         X = data.features.take(support, axis=0)
         y, zs, qs = data.targets[support], z[support], q[support]
     slope = np.asarray(loss.slope(zs, y), dtype=float)
@@ -183,14 +191,17 @@ def _gradient(loss: MarginLoss, data: Dataset, z: np.ndarray, q: np.ndarray) -> 
 def _oracle(loss: MarginLoss, data: Dataset, w, weigh) -> tuple[float, np.ndarray]:
     """Value and gradient of a dual-weighted objective in one pass over the data.
 
-    ``weigh`` maps the loss vector to an output with ``value`` and ``weights``
-    (the exact or a smoothed dual maximizer).  The margins ``X @ w`` are formed
-    once and serve both the losses and the gradient; :func:`batch_losses` then
-    :func:`jacobian_transpose_apply` do the same arithmetic, bit for bit.
+    ``weigh`` maps the loss vector to an output with ``value``, ``weights``
+    (the exact or a smoothed dual maximizer) and ``support`` (the ascending
+    indices of the nonzero weights, or None when all are nonzero), so the
+    gradient gathers the support without searching the weights again.  The
+    margins ``X @ w`` are formed once and serve both the losses and the
+    gradient; :func:`batch_losses` then :func:`jacobian_transpose_apply` do
+    the same arithmetic, bit for bit.
     """
     z = _margins(data, w)
     out = weigh(_losses(loss, data, z))
-    return out.value, _gradient(loss, data, z, out.weights)
+    return out.value, _gradient(loss, data, z, out.weights, out.support)
 
 
 def batch_losses(loss: MarginLoss, data: Dataset, w) -> np.ndarray:
@@ -214,4 +225,4 @@ def jacobian_transpose_apply(loss: MarginLoss, data: Dataset, w, q) -> np.ndarra
     q = np.asarray(q, dtype=float)
     if q.shape != (data.n,):
         raise ValueError(f"weight vector has shape {q.shape}, expected ({data.n},)")
-    return _gradient(loss, data, z, q)
+    return _gradient(loss, data, z, q, _support(q))

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, MarginLoss, Penalty, RiskParams, _oracle
+from .core import Dataset, EvaluationError, MarginLoss, Penalty, RiskParams, _oracle, _support
 # The oracle's layer functions, kept as attributes of this module: the
 # benchmark's traced runs rebind them here (bench/workloads.py).
 from .core import batch_losses, jacobian_transpose_apply  # noqa: F401
@@ -62,13 +62,15 @@ class SmoothedOracleOutput:
     ``lam`` the optimal scalar multiplier of the sum constraint.  The Euclidean
     routine adds -lam * (sum(weights) - 1), which is zero up to rounding and
     makes the value the dual function at ``lam`` (see
-    :func:`smoothed_weights_euclidean`).
+    :func:`smoothed_weights_euclidean`).  ``support`` holds the ascending
+    indices of the nonzero weights, or is None when all of them are nonzero.
     """
 
     value: float
     weights: np.ndarray
     lam: float
     penalty_value: float
+    support: np.ndarray | None
 
 
 def _validate(losses, p: float, mu: float) -> np.ndarray:
@@ -89,7 +91,7 @@ def _uniform_output(L: np.ndarray, lam: float) -> SmoothedOracleOutput:
     n = L.size
     q = np.full(n, 1.0 / n)
     return SmoothedOracleOutput(
-        value=float(q @ L), weights=q, lam=lam, penalty_value=0.0
+        value=float(q @ L), weights=q, lam=lam, penalty_value=0.0, support=None
     )
 
 
@@ -125,9 +127,14 @@ def smoothed_weights_euclidean(losses, p: float, mu: float) -> SmoothedOracleOut
     theta = theta_at(bps)
     b_idx = int(np.argmax(theta > 0.0))
     # theta is 1 at the largest breakpoint and 1 - m*cap <= 0 at the smallest,
-    # so a sign change always exists between adjacent breakpoints.
+    # so in exact arithmetic a sign change exists between adjacent breakpoints.
+    # Once the losses dwarf mu, rounding in the prefix sums can hide it.
     if theta[b_idx] <= 0.0 or b_idx == 0:
-        raise AssertionError("dual derivative not bracketed; unreachable for p > 0")
+        ratio = float(np.max(np.abs(L))) / mu
+        raise EvaluationError(
+            f"Euclidean dual derivative not bracketed at loss-to-mu ratio {ratio:.3g}; "
+            "a larger mu keeps the weight step in range"
+        )
     a, b = bps[b_idx - 1], bps[b_idx]
     ta, tb = theta[b_idx - 1], theta[b_idx]
     if abs(ta) <= 1e-12:
@@ -146,6 +153,7 @@ def smoothed_weights_euclidean(losses, p: float, mu: float) -> SmoothedOracleOut
             qc = np.clip((uc - lam) / mu, 0.0, cap)
     q = np.zeros(n)
     q[idx] = qc
+    support = idx[qc != 0.0]
     # Each of the n - m zero weights contributes (1/n)^2.
     penalty = float(0.5 * (np.sum((qc - 1.0 / n) ** 2) + (n - m) / n**2))
     # q maximizes the Lagrangian q @ L - mu*d(q) - lam*(sum q - 1) over the box
@@ -154,7 +162,13 @@ def smoothed_weights_euclidean(losses, p: float, mu: float) -> SmoothedOracleOut
     # plain q @ L - mu*d(q) moves by lam times the drift of sum q, and one ulp
     # of lam already moves sum q by n_mid * ulp(lam) / mu.
     value = float(q @ L - mu * penalty - lam * (float(qc.sum()) - 1.0))
-    return SmoothedOracleOutput(value=value, weights=q, lam=lam, penalty_value=penalty)
+    return SmoothedOracleOutput(
+        value=value,
+        weights=q,
+        lam=lam,
+        penalty_value=penalty,
+        support=None if support.size == n else support,
+    )
 
 
 def smoothed_weights_entropic(losses, p: float, mu: float) -> SmoothedOracleOutput:
@@ -218,7 +232,11 @@ def smoothed_weights_entropic(losses, p: float, mu: float) -> SmoothedOracleOutp
     penalty = max(float(np.log(n) + plogq), 0.0)
     lam = float(-mu * (log_rem[kstar] - T[kstar] + 1.0))
     return SmoothedOracleOutput(
-        value=float(q @ L - mu * penalty), weights=q, lam=lam, penalty_value=penalty
+        value=float(q @ L - mu * penalty),
+        weights=q,
+        lam=lam,
+        penalty_value=penalty,
+        support=_support(q),
     )
 
 

@@ -40,12 +40,15 @@ class ExactOracleOutput:
     ``weights`` lies in the capped simplex and attains the dual maximum, so
     ``value == weights @ losses``.  ``quantile`` is the empirical p-quantile
     and ``tie_set_size`` the number of samples whose loss equals it.
+    ``support`` holds the ascending indices of the nonzero weights, or is None
+    when all of them are nonzero.
     """
 
     value: float
     weights: np.ndarray
     quantile: float
     tie_set_size: int
+    support: np.ndarray | None
 
 
 def _as_loss_vector(losses) -> np.ndarray:
@@ -94,6 +97,10 @@ def exact_subgradient_weights(losses, p: float) -> ExactOracleOutput:
     leftover mass uniformly.  Tie detection uses exact floating-point equality
     with the quantile, which is itself one of the loss values.  The returned
     weights maximize q @ losses over the capped simplex.
+
+    One scan finds the samples at or above the quantile; they are the support,
+    less the tied ones when the leftover mass is zero, and the oracle hands it
+    to the gradient with the weights.
     """
     L = _as_loss_vector(losses)
     n = L.size
@@ -107,22 +114,27 @@ def exact_subgradient_weights(losses, p: float) -> ExactOracleOutput:
             weights=weights,
             quantile=qv,
             tie_set_size=int(np.count_nonzero(L == qv)),
+            support=None,
         )
     cap = 1.0 / (n * (1.0 - p))
     qv = quantile(L, p)
-    above = L > qv
-    tied = L == qv
-    n_tied = int(np.count_nonzero(tied))
-    n_le = n - int(np.count_nonzero(above))
+    S = np.flatnonzero(L >= qv)
+    above = L[S] > qv
+    n_above = int(np.count_nonzero(above))
+    n_tied = S.size - n_above
+    n_le = n - n_above
     # Uniform split of the tie mass; alpha lies in [0, 1) by construction.
     alpha = (n_le - n * p) / n_tied
-    weights = np.where(above, cap, 0.0)
-    weights[tied] = cap * alpha
+    weights = np.zeros(n)
+    weights[S] = np.where(above, cap, cap * alpha)
+    if alpha == 0.0:
+        S = S[above]
     return ExactOracleOutput(
         value=float(weights @ L),
         weights=weights,
         quantile=qv,
         tie_set_size=n_tied,
+        support=None if S.size == n else S,
     )
 
 

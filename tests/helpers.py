@@ -176,6 +176,12 @@ def theta_prime(lam: float, losses, p: float, mu: float) -> float:
     return float(1.0 - np.clip((u - lam) / mu, 0.0, cap).sum())
 
 
+def nonzero_support(q: np.ndarray):
+    """Indices of the nonzero weights, or None when every weight is nonzero."""
+    nonzero = [i for i, qi in enumerate(q) if qi != 0.0]
+    return None if len(nonzero) == len(q) else np.array(nonzero, dtype=np.intp)
+
+
 def sorting_weights_euclidean(losses, p: float, mu: float) -> SmoothedOracleOutput:
     """Euclidean maximizer by a breakpoint search over all n sorted losses.
 
@@ -188,7 +194,9 @@ def sorting_weights_euclidean(losses, p: float, mu: float) -> SmoothedOracleOutp
     if p == 0.0 or n * cap <= 1.0:
         q = np.full(n, 1.0 / n)
         lam = float(np.min(L) + mu / n - mu * cap)
-        return SmoothedOracleOutput(value=float(q @ L), weights=q, lam=lam, penalty_value=0.0)
+        return SmoothedOracleOutput(
+            value=float(q @ L), weights=q, lam=lam, penalty_value=0.0, support=None
+        )
 
     u = L + mu / n
     us = np.sort(u)
@@ -222,7 +230,11 @@ def sorting_weights_euclidean(losses, p: float, mu: float) -> SmoothedOracleOutp
             q = np.clip((u - lam) / mu, 0.0, cap)
     penalty = float(0.5 * np.sum((q - 1.0 / n) ** 2))
     return SmoothedOracleOutput(
-        value=float(q @ L - mu * penalty), weights=q, lam=lam, penalty_value=penalty
+        value=float(q @ L - mu * penalty),
+        weights=q,
+        lam=lam,
+        penalty_value=penalty,
+        support=nonzero_support(q),
     )
 
 
@@ -240,7 +252,9 @@ def sorting_weights_entropic(losses, p: float, mu: float) -> SmoothedOracleOutpu
     if p == 0.0 or n * cap <= 1.0:
         q = np.full(n, 1.0 / n)
         lam = float(-mu * (np.log(cap) - float(np.min(L)) / mu + 1.0))
-        return SmoothedOracleOutput(value=float(q @ L), weights=q, lam=lam, penalty_value=0.0)
+        return SmoothedOracleOutput(
+            value=float(q @ L), weights=q, lam=lam, penalty_value=0.0, support=None
+        )
 
     s = L / mu
     order = np.argsort(-s, kind="stable")
@@ -266,7 +280,11 @@ def sorting_weights_entropic(losses, p: float, mu: float) -> SmoothedOracleOutpu
     penalty = max(float(np.log(n) + plogp.sum()), 0.0)
     lam = float(-mu * (logc[kstar] + 1.0))
     return SmoothedOracleOutput(
-        value=float(q @ L - mu * penalty), weights=q, lam=lam, penalty_value=penalty
+        value=float(q @ L - mu * penalty),
+        weights=q,
+        lam=lam,
+        penalty_value=penalty,
+        support=nonzero_support(q),
     )
 
 

@@ -200,6 +200,21 @@ class TestTrain:
         code, _, _ = run_cli(capsys, argv)  # the superquantile fit needs no solve
         assert code == 0
 
+    def test_lost_euclidean_bracket_exits_solver_error(self, tmp_path, capsys):
+        # At the start w = 0 the losses 0.5 * y**2 are about 1e20 times mu,
+        # where the Euclidean weight step loses its bracket to rounding.
+        data = tmp_path / "extreme.csv"
+        y = 1e9 * np.array([6.0, 9.0, 5.0, 6.0, 9.0, 7.0])
+        save_csv(Dataset(np.ones((6, 1)), y), data)
+        code, lines, err = run_cli(
+            capsys,
+            ["train", "--data", str(data), "--out", str(tmp_path / "m.json"), "--mu", "1e-3"],
+        )
+        assert code == 4
+        assert lines == []
+        assert err.startswith("error: Euclidean dual derivative not bracketed")
+        assert "loss-to-mu ratio" in err
+
     def test_missing_data_file_is_io_error(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys,
@@ -500,6 +515,20 @@ class TestFitFlags:
         assert (train["step_size"], train["grad_tol"], train["f_tol"]) == (
             defaults.step_size, defaults.grad_tol, defaults.f_tol
         )
+
+    @pytest.mark.parametrize("objective", ["superquantile", "erm"])
+    @pytest.mark.parametrize("value", ["fast", "-1", "0"])
+    def test_bad_step_size_is_flag_error(self, tmp_path, capsys, objective, value):
+        data, _ = write_consistent_csv(tmp_path)
+        argv = [
+            "train", "--data", str(data), "--out", str(tmp_path / "m.json"),
+            "--objective", objective, "--step-size", value,
+        ]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "argument --step-size" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
     @staticmethod
     def _record_configs(monkeypatch):

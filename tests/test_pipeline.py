@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import tailopt.cli
+import tailopt.core
 import tailopt.smoothing
 from tailopt.core import Dataset, RiskParams, batch_losses, jacobian_transpose_apply
 from tailopt.models import LinearLeastSquares, LinearLogistic
@@ -33,6 +34,28 @@ CASES = [
     ("entropic", 0.9, 1.0, True),
     ("entropic", 0.9, 1e-3, False),  # exp underflows to 0 far below the top
 ]
+
+
+# Exact-oracle cases on losses that tie at the quantile: (residuals, p, support
+# size).  At n = 20 and p = 0.9 the cap is 1/2 and the quantile is the 18th
+# smallest loss, 0.5 * 2**2.  With one loss above it, three tied samples share
+# the leftover mass 1/2 (alpha = 1/3); with two above, the two tied samples
+# get none (alpha = 0), so the support holds only the losses above.
+TIE_CASES = [
+    pytest.param([1.0] * 16 + [2.0] * 3 + [4.0], 0.9, 4, id="tied-share-mass"),
+    pytest.param([1.0] * 16 + [2.0] * 2 + [3.0, 4.0], 0.9, 2, id="tied-get-none"),
+    pytest.param([1.0] * 16 + [2.0] * 2 + [3.0, 4.0], 0.0, 20, id="p-zero"),
+    pytest.param([3.0], 0.9, 1, id="n-one"),
+]
+
+
+def tied_dataset(residuals, w, seed):
+    """Integer features and targets whose residuals at ``w`` are a shuffle of
+    ``residuals``; every product is exact, so equal residuals tie exactly."""
+    rng = np.random.default_rng(seed)
+    r = rng.permutation(np.asarray(residuals))
+    X = rng.integers(-2, 3, size=(r.size, w.size)).astype(float)
+    return Dataset(X, X @ w - r)
 
 
 def composed(loss, data, w, penalty, p, mu):
@@ -68,6 +91,18 @@ class TestOnePass:
             assert f == f_ref
             assert np.array_equal(g, g_ref)
 
+    @pytest.mark.parametrize("residuals,p,size", TIE_CASES)
+    def test_exact_oracle_is_bit_identical_to_its_layers_on_ties(self, residuals, p, size):
+        rng = np.random.default_rng(24)
+        for seed in range(5):
+            w = rng.integers(-3, 4, size=41).astype(float)
+            data = tied_dataset(residuals, w, seed)
+            f, g = exact_oracle(LinearLeastSquares(), data, w, p)
+            f_ref, g_ref, q = composed(LinearLeastSquares(), data, w, None, p, None)
+            assert np.count_nonzero(q) == size
+            assert f == f_ref
+            assert np.array_equal(g, g_ref)
+
     def test_logistic_oracle_is_bit_identical_to_its_layers(self):
         rng = np.random.default_rng(23)
         data = Dataset(rng.standard_normal((300, 41)), rng.choice([-1.0, 1.0], size=300))
@@ -84,6 +119,22 @@ class TestOnePass:
         program_oracle(loss, data, np.ones(5), penalty, p, mu)
         assert (loss.value_calls, loss.slope_calls) == (1, 1)
         assert (loss.slope_samples == 200) is full
+
+
+    @pytest.mark.parametrize("penalty,p,mu,full", [c for c in CASES if c[0] != "entropic"])
+    def test_weight_step_hands_its_support_to_the_gradient(self, monkeypatch, penalty, p, mu, full):
+        # The exact and Euclidean routines know their support; neither oracle
+        # may search the dense weights for it again.
+        def refuse(q):
+            raise AssertionError("support searched in the dense weights")
+
+        monkeypatch.setattr(tailopt.core, "_support", refuse)
+        monkeypatch.setattr(tailopt.smoothing, "_support", refuse)
+        data = random_lsq_dataset(27, n=200, d=5)
+        with pytest.raises(AssertionError, match="dense weights"):  # the patch is live
+            jacobian_transpose_apply(LinearLeastSquares(), data, np.ones(5), np.full(200, 0.005))
+        f, g = program_oracle(LinearLeastSquares(), data, np.ones(5), penalty, p, mu)
+        assert np.isfinite(f) and np.isfinite(g).all()
 
 
 class TestBenchmarkHooks:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailopt.core import Dataset, RiskParams, check_dual_weights
+from tailopt.core import Dataset, EvaluationError, RiskParams, check_dual_weights
 from tailopt.models import LinearLeastSquares
 from tailopt.smoothing import (
     smoothed_oracle,
@@ -181,6 +181,13 @@ class TestEuclideanSubroutine:
             smoothed_weights_euclidean([1.0, 2.0], p, 1.0)
 
 
+    def test_lost_bracket_is_an_evaluation_error(self):
+        # At loss/mu = 1e20 the rounding of the prefix sums hides the sign
+        # change of the dual derivative between adjacent breakpoints.
+        with pytest.raises(EvaluationError, match=r"loss-to-mu ratio 1e\+20"):
+            smoothed_weights_euclidean([1e17, -2e16, 5e16], 0.1, 1e-3)
+
+
 class TestThetaPrime:
     def test_worked_root(self):
         assert theta_prime(0.5, [0.0, 1.0], 0.5, 1.0) == pytest.approx(0.0, abs=1e-15)
@@ -326,6 +333,28 @@ class TestAgainstSortingReferences:
                 got, want = fast(L, p, mu), reference(L, p, mu)
                 scale = max(1.0, float(np.abs(L).max()) / mu)
                 assert np.max(np.abs(got.weights - want.weights)) <= 1e-12 * scale
+
+
+class TestSupport:
+    """Each weight routine returns the support that the oracle's gradient gathers."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(L=loss_vectors(), p=LEVELS, mu=SCALES, quantum=st.sampled_from([None, 1.0, 0.25]))
+    def test_support_is_the_nonzero_weights(self, L, p, mu, quantum):
+        if quantum is not None:
+            L = np.round(L / quantum) * quantum  # quantized losses tie often
+        outputs = [
+            exact_subgradient_weights(L, p),
+            smoothed_weights_euclidean(L, p, mu),
+            smoothed_weights_entropic(L, p, mu),
+        ]
+        for out in outputs:
+            nonzero = np.flatnonzero(out.weights)
+            if nonzero.size == L.size:
+                assert out.support is None
+            else:
+                assert out.support.dtype.kind == "i"
+                assert np.array_equal(out.support, nonzero)
 
 
 class TestApproximationBounds:
