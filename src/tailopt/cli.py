@@ -68,26 +68,39 @@ def _add_synthetic_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--target-column", default="target")
 
 
-def _step_size(text: str) -> float | str:
-    """``--step-size``: ``auto`` or a finite positive float."""
-    if text == "auto":
-        return text
-    try:
-        value = float(text)
-        if 0.0 < value < np.inf:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected 'auto' or a finite positive number, got {text!r}")
+def _checked(convert, ok, expected: str):
+    """An argparse type: ``convert`` the text, and accept the value when ``ok``."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return parse
+
+
+_positive = _checked(float, lambda v: 0.0 < v < np.inf, "a finite positive number")
+_nonnegative = _checked(float, lambda v: 0.0 <= v < np.inf, "a finite number >= 0")
+_count = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_step_size = _checked(
+    lambda text: text if text == "auto" else float(text),
+    lambda v: v == "auto" or 0.0 < v < np.inf,
+    "'auto' or a finite positive number",
+)
 
 
 def _add_fit_flags(p: argparse.ArgumentParser) -> None:
-    """The solver flags of ``train`` and ``experiment``.  The step size and
-    tolerances default to :class:`SolverConfig`'s; ``train`` has flags for them."""
-    p.add_argument("--mu", type=float, default=1000.0, help="smoothing scale")
+    """The solver flags of ``train`` and ``experiment``, checked as they are
+    parsed.  The step size and tolerances default to :class:`SolverConfig`'s;
+    ``train`` has flags for them."""
+    p.add_argument("--mu", type=_positive, default=1000.0, help="smoothing scale")
     p.add_argument("--penalty", choices=["euclidean", "entropic"], default="euclidean")
     p.add_argument("--algorithm", choices=[a.value for a in Algorithm], default="lbfgs")
-    p.add_argument("--max-iters", type=int, default=500)
+    p.add_argument("--max-iters", type=_count, default=500)
     defaults = SolverConfig()
     p.set_defaults(step_size=defaults.step_size, grad_tol=defaults.grad_tol, f_tol=defaults.f_tol)
 
@@ -392,8 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fit_flags(p_train)
     # These three take their defaults from _add_fit_flags.
     p_train.add_argument("--step-size", type=_step_size)
-    p_train.add_argument("--grad-tol", type=float)
-    p_train.add_argument("--f-tol", type=float)
+    p_train.add_argument("--grad-tol", type=_nonnegative)
+    p_train.add_argument("--f-tol", type=_nonnegative)
     p_train.add_argument(
         "--no-intercept",
         action="store_true",

@@ -20,7 +20,12 @@ Two penalties are supported:
 
 * Entropic, d(q) = log(n) + sum_i q_i log q_i.  The maximizer is the capped
   softmax q_i = min(cap, c * exp(L_i / mu)); the number of capped coordinates
-  is located by a descending scan, and the uncapped block is normalized with
+  is the first count k, in a descending scan, whose uncapped remainder fits
+  under the cap.  The scan compares the log tail sums of the sorted scaled
+  losses against a cached grid of log(1 - k*cap).  Those sums come from one
+  cumulative sum of exponentials shifted by the largest entry when the
+  candidates span at most 700 in L/mu, as in ordinary fits, and from a
+  logaddexp recurrence otherwise.  The uncapped block is normalized with
   exponents shifted by its largest entry, so no loss-to-mu ratio overflows or
   moves the weights off the simplex.
 
@@ -38,6 +43,7 @@ O(n) partition, with cap = 1/(n(1-p)) and r = ceil(1/cap) <= n:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,6 +58,10 @@ __all__ = [
     "smoothed_weights_entropic",
     "smoothed_weights_euclidean",
 ]
+
+# Widest span of the entropic tail-sum block, in L/mu, that the shifted
+# cumulative sum handles: exp(-700) ~ 1e-304 is still a normal float.
+_EXP_SPAN = 700.0
 
 
 @dataclass(frozen=True)
@@ -171,6 +181,43 @@ def smoothed_weights_euclidean(losses, p: float, mu: float) -> SmoothedOracleOut
     )
 
 
+@lru_cache(maxsize=4)
+def _log_rem(K: int, cap: float) -> np.ndarray:
+    """log(1 - k*cap) for k = 0..K-1, +inf where no mass is left; read-only.
+
+    The grid depends only on n and p, so a fit builds it once instead of once
+    per call; ``experiment`` fits three tail levels, hence four entries.
+    """
+    rem = 1.0 - np.arange(K) * cap  # mass left for the uncapped block when k are capped
+    valid = rem > 0.0
+    log_rem = np.log(np.where(valid, rem, 1.0))
+    log_rem[~valid] = np.inf  # fails the feasibility test below
+    log_rem.flags.writeable = False
+    return log_rem
+
+
+def _tail_sums(ascending: np.ndarray) -> np.ndarray:
+    """T[k] = log sum_{i >= k} exp(ss[i]), plus the rest, for ss = ascending[:0:-1].
+
+    ``ascending`` holds the log-sum-exp of the rest (-inf when there is none)
+    and then the K largest scaled losses in ascending order.  While they span
+    at most _EXP_SPAN, every exp(a - a_max) is a normal float, so one
+    cumulative sum, shifted by the largest entry, gives every tail sum.  A
+    wider block keeps the log domain, where each logaddexp step shifts by its
+    larger operand and no spread of L/mu underflows.
+    """
+    a_max = ascending[-1]
+    low = ascending[1] if ascending[0] == -np.inf else min(ascending[0], ascending[1])
+    if a_max - low > _EXP_SPAN:
+        return np.logaddexp.accumulate(ascending)[:0:-1]
+    T = np.subtract(ascending, a_max)
+    np.exp(T, out=T)
+    T = np.cumsum(T, out=T)[1:]  # the rest alone is no tail sum
+    np.log(T, out=T)
+    T += a_max
+    return T[::-1]
+
+
 def smoothed_weights_entropic(losses, p: float, mu: float) -> SmoothedOracleOutput:
     """Maximizer of q @ L - mu * (log n + sum q_i log q_i) over the capped simplex."""
     L = _validate(losses, p, mu)
@@ -195,24 +242,27 @@ def smoothed_weights_entropic(losses, p: float, mu: float) -> SmoothedOracleOutp
         log_rest = -np.inf
     ascending = np.concatenate(([log_rest], np.sort(part[n - K :])))
     ss = ascending[:0:-1]  # the K largest, descending
-    # T[k] = log sum_{i >= k} exp(ss[i]) over the sorted block and the rest;
-    # each logaddexp step shifts by its larger operand, so no spread of L/mu
-    # overflows or underflows.
-    T = np.logaddexp.accumulate(ascending)[:0:-1]
-    k = np.arange(K)
-    rem = 1.0 - k * cap  # mass left for the uncapped block when k are capped
-    valid = rem > 0.0
-    log_rem = np.log(np.where(valid, rem, 1.0))
+    T = _tail_sums(ascending)
+    log_rem = _log_rem(K, cap)
     log_cap = np.log(cap)
-    # The tolerance absorbs rounding of 1 - k*cap near the critical count,
-    # where the exact margin is zero; accepted overshoot is clipped below.
+    # Count k is feasible when the largest uncapped weight,
+    # exp(log_rem[k] - (T[k] - ss[k])), stays under the cap; log_rem is +inf
+    # where k*cap leaves no mass.  The tolerance absorbs rounding of 1 - k*cap
+    # near the critical count, where the exact margin is zero; accepted
+    # overshoot is clipped below.
     # T - ss is formed first: adding log_rem - T to ss instead would combine
     # two numbers of size |L/mu| and lose the margin to rounding once |L/mu|
     # reaches about 1e10.
-    feasible = valid & (log_rem - (T - ss) <= log_cap + 1e-9)
-    if not feasible.any():
-        raise AssertionError("no feasible cap count; unreachable for p > 0")
+    margin = T - ss
+    np.subtract(log_rem, margin, out=margin)
+    feasible = margin <= log_cap + 1e-9
     kstar = int(np.argmax(feasible))
+    if not feasible[kstar]:
+        ratio = float(np.max(np.abs(L))) / mu
+        raise EvaluationError(
+            f"entropic cap count not found at loss-to-mu ratio {ratio:.3g}; "
+            "a larger mu keeps the weight step in range"
+        )
 
     # The uncapped block gets mass * exp(d_i) / Z with d_i = s_i - s_max, where
     # s_max = ss[kstar] is its largest entry and Z = sum_j exp(d_j): every
@@ -220,14 +270,20 @@ def smoothed_weights_entropic(losses, p: float, mu: float) -> SmoothedOracleOutp
     # the size of L/mu.  Its entropy follows from log q_i = log(mass / Z) + d_i.
     # Entries tied with s_max stay in the block; they sit at the cap within
     # the scan's tolerance either way.
-    d = s - ss[kstar]
+    d = np.subtract(s, ss[kstar], out=s)
     uncapped = d <= 0.0
-    e = np.exp(np.minimum(d, 0.0)) * uncapped
+    e = np.minimum(d, 0.0)
+    np.exp(e, out=e)
+    e *= uncapped  # capped entries get e = 0
     Z = float(e.sum())
     n_capped = n - int(np.count_nonzero(uncapped))
     mass = 1.0 - n_capped * cap
-    # Capped entries have e = 0; the maximum lifts them to the cap.
-    q = np.maximum(np.minimum(e * (mass / Z), cap), cap * ~uncapped)
+    q = np.multiply(e, mass / Z)
+    np.minimum(q, cap, out=q)
+    # Capped entries have q = 0 here; the maximum lifts them to the cap.  It
+    # costs the same at any cap count, where a mask assignment slows down as
+    # the count grows.
+    np.maximum(q, cap * ~uncapped, out=q)
     plogq = n_capped * cap * log_cap + mass * np.log(mass / Z) + (mass / Z) * float(e @ d)
     penalty = max(float(np.log(n) + plogq), 0.0)
     lam = float(-mu * (log_rem[kstar] - T[kstar] + 1.0))

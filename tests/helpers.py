@@ -288,6 +288,65 @@ def sorting_weights_entropic(losses, p: float, mu: float) -> SmoothedOracleOutpu
     )
 
 
+def scan_weights_entropic(losses, p: float, mu: float) -> SmoothedOracleOutput:
+    """Entropic maximizer by a logaddexp scan over the K largest scaled losses.
+
+    The top-K routine as it stood before the shifted cumulative sum and the
+    cached log(1 - k*cap) grid replaced its tail sums and feasibility grid;
+    kept as the reference that :func:`tailopt.smoothing.smoothed_weights_entropic`
+    must match bit for bit in weights and value.  Every tail sum is a
+    logaddexp recurrence, exact in range at any spread of L/mu.
+    """
+    L = np.asarray(losses, dtype=float)
+    n = L.size
+    cap = 1.0 / (n * (1.0 - p))
+    if p == 0.0 or n * cap <= 1.0:
+        q = np.full(n, 1.0 / n)
+        lam = float(-mu * (np.log(cap) - float(np.min(L)) / mu + 1.0))
+        return SmoothedOracleOutput(
+            value=float(q @ L), weights=q, lam=lam, penalty_value=0.0, support=None
+        )
+
+    s = L / mu
+    K = min(n, int(np.ceil(1.0 / cap)) + 1)
+    part = np.partition(s, n - K)
+    if K < n:
+        rest = part[: n - K]
+        m = float(rest.max())
+        log_rest = m + float(np.log(np.exp(rest - m).sum()))
+    else:
+        log_rest = -np.inf
+    ascending = np.concatenate(([log_rest], np.sort(part[n - K :])))
+    ss = ascending[:0:-1]
+    T = np.logaddexp.accumulate(ascending)[:0:-1]
+    k = np.arange(K)
+    rem = 1.0 - k * cap
+    valid = rem > 0.0
+    log_rem = np.log(np.where(valid, rem, 1.0))
+    log_cap = np.log(cap)
+    feasible = valid & (log_rem - (T - ss) <= log_cap + 1e-9)
+    assert feasible.any(), "no feasible cap count"
+    kstar = int(np.argmax(feasible))
+
+    d = s - ss[kstar]
+    uncapped = d <= 0.0
+    e = np.exp(np.minimum(d, 0.0)) * uncapped
+    Z = float(e.sum())
+    n_capped = n - int(np.count_nonzero(uncapped))
+    mass = 1.0 - n_capped * cap
+    q = np.maximum(np.minimum(e * (mass / Z), cap), cap * ~uncapped)
+    plogq = n_capped * cap * log_cap + mass * np.log(mass / Z) + (mass / Z) * float(e @ d)
+    penalty = max(float(np.log(n) + plogq), 0.0)
+    lam = float(-mu * (log_rem[kstar] - T[kstar] + 1.0))
+    return SmoothedOracleOutput(
+        value=float(q @ L - mu * penalty),
+        weights=q,
+        lam=lam,
+        penalty_value=penalty,
+        support=nonzero_support(q),
+    )
+
+
 def penalized_objective(q: np.ndarray, losses: np.ndarray, mu: float, penalty: str) -> float:
     q = np.asarray(q, dtype=float)
     L = np.asarray(losses, dtype=float)

@@ -11,6 +11,7 @@ import pytest
 
 import tailopt
 import tailopt.cli
+import tailopt.smoothing
 from tailopt.cli import build_parser, main
 from tailopt.core import Dataset, EvaluationError
 from tailopt.dataio import load_csv, residual_quantile_report, save_csv
@@ -214,6 +215,26 @@ class TestTrain:
         assert lines == []
         assert err.startswith("error: Euclidean dual derivative not bracketed")
         assert "loss-to-mu ratio" in err
+
+    def test_lost_entropic_cap_count_exits_solver_error(self, tmp_path, capsys, monkeypatch):
+        # NaN tail sums leave no cap count feasible, as rounding could at an
+        # extreme loss-to-mu ratio.
+        monkeypatch.setattr(
+            tailopt.smoothing, "_tail_sums", lambda ascending: np.full(ascending.size - 1, np.nan)
+        )
+        data, _ = write_consistent_csv(tmp_path)
+        code, lines, err = run_cli(
+            capsys,
+            [
+                "train", "--data", str(data), "--out", str(tmp_path / "m.json"),
+                "--penalty", "entropic", "--mu", "1",
+            ],
+        )
+        assert code == 4
+        assert lines == []
+        assert err.startswith("error: entropic cap count not found")
+        assert "loss-to-mu ratio" in err
+        assert not (tmp_path / "m.json").exists()
 
     def test_missing_data_file_is_io_error(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -529,6 +550,49 @@ class TestFitFlags:
         assert exc.value.code == 2
         assert "argument --step-size" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
+
+    BAD_VALUES = [
+        ("--mu", "-1"), ("--mu", "0"), ("--mu", "nan"), ("--mu", "inf"), ("--mu", "big"),
+        ("--max-iters", "0"), ("--max-iters", "-3"), ("--max-iters", "2.5"),
+        ("--grad-tol", "-1"), ("--grad-tol", "nan"), ("--f-tol", "-1e-9"), ("--f-tol", "inf"),
+    ]
+
+    @pytest.mark.parametrize("objective", ["superquantile", "erm"])
+    @pytest.mark.parametrize("flag, value", BAD_VALUES)
+    def test_bad_train_fit_flag_is_flag_error(self, tmp_path, capsys, objective, flag, value):
+        data, _ = write_consistent_csv(tmp_path)
+        argv = [
+            "train", "--data", str(data), "--out", str(tmp_path / "m.json"),
+            "--objective", objective, flag, value,
+        ]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value", [(f, v) for f, v in BAD_VALUES if f in ("--mu", "--max-iters")]
+    )
+    def test_bad_experiment_fit_flag_is_flag_error(self, tmp_path, capsys, flag, value):
+        out_dir = tmp_path / "exp"
+        argv = ["experiment", *TestExperiment.FLAGS, flag, value, "--out-dir", str(out_dir)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_fit_flags_accept_their_boundary_values(self):
+        parser = build_parser()
+        args = parser.parse_args(
+            [
+                "train", "--data", "d.csv", "--out", "m.json", "--mu", "1e-300",
+                "--max-iters", "1", "--grad-tol", "0", "--f-tol", "0",
+            ]
+        )
+        assert (args.mu, args.max_iters, args.grad_tol, args.f_tol) == (1e-300, 1, 0.0, 0.0)
+        assert isinstance(args.max_iters, int)
 
     @staticmethod
     def _record_configs(monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from tailopt.core import Dataset, EvaluationError, RiskParams, check_dual_weights
 from tailopt.models import LinearLeastSquares
+import tailopt.smoothing
 from tailopt.smoothing import (
     smoothed_oracle,
     smoothed_weights_entropic,
@@ -25,6 +26,7 @@ from helpers import (
     random_lsq_dataset,
     sample_gradient,
     sample_value,
+    scan_weights_entropic,
     sorting_weights_entropic,
     sorting_weights_euclidean,
     theta_prime,
@@ -318,6 +320,11 @@ class TestAgainstSortingReferences:
         want = sorting_weights_entropic(L, 0.9, 1.0)
         assert np.max(np.abs(got.weights - want.weights)) <= 1e-12 * spread
         check_dual_weights(got.weights, 1.0 / (300 * 0.1))
+        # 100 takes the shifted cumulative sum, 1000 and 5000 the logaddexp
+        # recurrence; either way the weights are those of the scan.
+        scan = scan_weights_entropic(L, 0.9, 1.0)
+        assert got.weights.tobytes() == scan.weights.tobytes()
+        assert got.value == scan.value
 
     @pytest.mark.parametrize("n", [10_000, 50_001])
     @pytest.mark.parametrize("p", [0.5, 0.9, 0.999])
@@ -333,6 +340,60 @@ class TestAgainstSortingReferences:
                 got, want = fast(L, p, mu), reference(L, p, mu)
                 scale = max(1.0, float(np.abs(L).max()) / mu)
                 assert np.max(np.abs(got.weights - want.weights)) <= 1e-12 * scale
+
+
+@st.composite
+def entropic_instances(draw):
+    """(L, p, mu) with L/mu spread over 1e-2 to 1e9, on both sides of the 700
+    past which the tail sums leave the shifted cumulative sum for logaddexp;
+    quantized draws tie, and small n (n = 1 included) or small p make the K
+    largest every loss, with no rest."""
+    n = draw(st.one_of(st.integers(1, 4), st.integers(5, 300)))
+    p = draw(st.sampled_from([0.01, 0.1, 0.5, 0.7, 0.9, 0.99, 1.0 - 1e-9]))
+    mu = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    spread = draw(st.sampled_from([1e-2, 1.0, 50.0, 300.0, 650.0, 750.0, 2e3, 1e5, 1e9]))
+    u = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        u = np.round(4.0 * u) / 4.0
+    offset = draw(st.floats(-1e3, 1e3))
+    return mu * (offset + spread * u), p, mu
+
+
+class TestEntropicScanReference:
+    """The entropic routine against the logaddexp scan it replaced: the tail
+    sums may round differently, but the cap count, and so every weight bit,
+    must not move."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(case=entropic_instances())
+    def test_bit_identical_to_scan(self, case):
+        L, p, mu = case
+        got, want = smoothed_weights_entropic(L, p, mu), scan_weights_entropic(L, p, mu)
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.value == want.value
+        assert got.penalty_value == want.penalty_value
+        if want.support is None:
+            assert got.support is None
+        else:
+            assert np.array_equal(got.support, want.support)
+        # lam = -mu * (log_rem - T + 1) cancels when its terms nearly balance,
+        # so a rounding change in T is relative to mu times the size of L/mu.
+        scale = max(1.0, float(np.abs(L).max()) / mu)
+        assert abs(got.lam - want.lam) <= 1e-14 * max(abs(want.lam), mu * scale)
+
+    def test_lost_cap_count_raises_evaluation_error(self, monkeypatch):
+        monkeypatch.setattr(
+            tailopt.smoothing, "_tail_sums", lambda ascending: np.full(ascending.size - 1, np.nan)
+        )
+        with pytest.raises(EvaluationError, match="loss-to-mu ratio 5"):
+            smoothed_weights_entropic([1.0, 5.0, 2.0, 3.0], 0.5, 1.0)
+
+    def test_log_rem_grid_is_cached_read_only(self):
+        grid = tailopt.smoothing._log_rem(5, 0.25)
+        assert grid is tailopt.smoothing._log_rem(5, 0.25)
+        assert not grid.flags.writeable
+        assert grid[4] == np.inf  # 4 * 0.25 leaves no mass
+        assert np.array_equal(grid[:4], np.log(1.0 - np.arange(4) * 0.25))
 
 
 class TestSupport:
