@@ -57,14 +57,16 @@ def _info(msg: str) -> None:
 
 
 def _add_synthetic_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=10000, help="training rows")
-    p.add_argument("--d", type=int, default=40, help="feature count")
-    p.add_argument("--rank", type=int, default=30, help="effective rank of the design")
-    p.add_argument("--test-n", type=int, default=2000, help="test rows")
-    p.add_argument("--bernoulli-p", type=float, default=0.8)
-    p.add_argument("--laplace-loc", type=float, default=10.0)
-    p.add_argument("--laplace-scale", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    """The data flags of ``gen-data`` and ``experiment``, checked as they are
+    parsed; :class:`SyntheticSpec` still checks that the rank is at most d."""
+    p.add_argument("--n", type=_count, default=10000, help="training rows")
+    p.add_argument("--d", type=_count, default=40, help="feature count")
+    p.add_argument("--rank", type=_count, default=30, help="effective rank of the design")
+    p.add_argument("--test-n", type=_count, default=2000, help="test rows")
+    p.add_argument("--bernoulli-p", type=_probability, default=0.8)
+    p.add_argument("--laplace-loc", type=_finite, default=10.0)
+    p.add_argument("--laplace-scale", type=_nonnegative, default=1.0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--target-column", default="target")
 
 
@@ -85,7 +87,16 @@ def _checked(convert, ok, expected: str):
 
 _positive = _checked(float, lambda v: 0.0 < v < np.inf, "a finite positive number")
 _nonnegative = _checked(float, lambda v: 0.0 <= v < np.inf, "a finite number >= 0")
+_finite = _checked(float, lambda v: abs(v) < np.inf, "a finite number")
 _count = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_probability = _checked(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
+_tail_level = _checked(float, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)")
+_levels = _checked(
+    lambda text: [float(tok) for tok in text.split(",") if tok.strip()],
+    lambda levels: all(0.0 <= v < 1.0 for v in levels),
+    "comma-separated numbers in [0, 1)",
+)
 _step_size = _checked(
     lambda text: text if text == "auto" else float(text),
     lambda v: v == "auto" or 0.0 < v < np.inf,
@@ -210,7 +221,6 @@ def cmd_train(args) -> int:
             "max_iters": args.max_iters,
             "intercept": intercept,
             "target_column": args.target_column,
-            "seed": args.seed,
         },
         "objective_trace": fit["objective_trace"],
         "termination": fit["termination"],
@@ -256,8 +266,7 @@ def cmd_eval(args) -> int:
         raise DataFormatError(
             f"{args.model}: model has {w.size} weights but {args.data} gives {columns}"
         )
-    levels = [float(tok) for tok in args.levels.split(",") if tok.strip()]
-    report = residual_quantile_report(w, data, levels)
+    report = residual_quantile_report(w, data, args.levels)
     _emit(
         {
             "command": "eval",
@@ -400,8 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--out", required=True)
     p_train.add_argument("--objective", choices=["erm", "superquantile"], default="superquantile")
     p_train.add_argument("--target-column", default="target")
-    p_train.add_argument("--seed", type=int, default=0)
-    p_train.add_argument("--p", type=float, default=0.9, help="tail level")
+    p_train.add_argument("--p", type=_tail_level, default=0.9, help="tail level")
     _add_fit_flags(p_train)
     # These three take their defaults from _add_fit_flags.
     p_train.add_argument("--step-size", type=_step_size)
@@ -417,7 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="report residual quantiles of a trained model")
     p_eval.add_argument("--model", required=True)
     p_eval.add_argument("--data", required=True)
-    p_eval.add_argument("--levels", default="0.5,0.9", help="comma-separated levels in [0, 1)")
+    p_eval.add_argument(
+        "--levels", type=_levels, default="0.5,0.9", help="comma-separated levels in [0, 1)"
+    )
     p_eval.add_argument("--target-column", default="target")
     p_eval.set_defaults(func=cmd_eval)
 

@@ -8,7 +8,6 @@ a constant-1 feature column if you want one.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from .core import Dataset
 
@@ -38,8 +37,9 @@ class LinearLeastSquares:
 class LinearLogistic:
     """log(1 + exp(-y * z)) at the margin z = w @ x, for labels y in {-1, +1}.
 
-    Evaluated through the stable softplus form, so margins of magnitude
-    several hundred neither overflow nor lose the sign.
+    The value is evaluated through the stable softplus form, so margins of
+    magnitude several hundred neither overflow nor lose the sign.  The slope is
+    -y / (1 + exp(y * z)); where ``exp`` overflows to inf it reads 0, its limit.
     """
 
     def value(self, z, y):
@@ -50,7 +50,8 @@ class LinearLogistic:
         return np.logaddexp(0.0, -y * z)
 
     def slope(self, z, y):
-        return -y * expit(-(y * z))
+        with np.errstate(over="ignore"):
+            return -y / (1.0 + np.exp(y * z))
 
 
 def ols_closed_form(data: Dataset) -> np.ndarray:

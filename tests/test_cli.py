@@ -27,16 +27,21 @@ def run_cli(capsys, argv):
     return code, lines, out.err
 
 
-def run_module(argv):
-    """Run ``python -m tailopt.cli`` with the package under test importable."""
+def run_python(*args):
+    """Run a fresh ``python`` with ``args`` and the package under test importable."""
     src = str(Path(tailopt.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "tailopt.cli", *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def run_module(argv):
+    """Run ``python -m tailopt.cli`` with the package under test importable."""
+    return run_python("-m", "tailopt.cli", *argv)
 
 
 def write_consistent_csv(tmp_path, seed=0, n=60, d=4, name="data.csv"):
@@ -246,11 +251,21 @@ class TestTrain:
 
     def test_bad_level_is_flag_error(self, tmp_path, capsys):
         data, _ = write_consistent_csv(tmp_path)
-        code, _, _ = run_cli(
-            capsys,
-            ["train", "--data", str(data), "--out", str(tmp_path / "m.json"), "--p", "1.5"],
-        )
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", str(data), "--out", str(tmp_path / "m.json"), "--p", "1.5"])
+        assert exc.value.code == 2
+        assert "argument --p" in capsys.readouterr().err
+
+    def test_seed_flag_is_gone_and_model_has_no_seed(self, tmp_path, capsys):
+        data, _ = write_consistent_csv(tmp_path)
+        out = tmp_path / "m.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", str(data), "--out", str(out), "--seed", "0"])
+        assert exc.value.code == 2
+        assert not out.exists()
+        capsys.readouterr()
+        assert run_cli(capsys, ["train", "--data", str(data), "--out", str(out)])[0] == 0
+        assert "seed" not in json.loads(out.read_text())["config"]
 
     def test_unknown_flag_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -643,6 +658,101 @@ class TestFitFlags:
             assert config.step_size == SolverConfig().step_size
 
 
+class TestDataFlags:
+    """Every numeric flag outside the solver's is checked when it is parsed:
+    a bad value exits 2 naming its flag, before any file is read or written."""
+
+    @staticmethod
+    def _exits_two_naming(capsys, argv, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected" in err
+        assert f"got {value!r}" in err
+
+    @pytest.mark.parametrize("objective", ["superquantile", "erm"])
+    @pytest.mark.parametrize("value", ["1.5", "1", "-0.1", "nan", "inf", "high"])
+    def test_bad_train_tail_level(self, tmp_path, capsys, objective, value):
+        out = tmp_path / "m.json"
+        argv = [
+            "train", "--data", str(tmp_path / "absent.csv"), "--out", str(out),
+            "--objective", objective, "--p", value,
+        ]
+        self._exits_two_naming(capsys, argv, "--p", value)
+        assert not out.exists()
+
+    BAD_VALUES = [
+        ("--n", "0"), ("--n", "-5"), ("--n", "2.5"), ("--d", "0"), ("--rank", "0"),
+        ("--test-n", "0"), ("--test-n", "many"), ("--seed", "-1"), ("--seed", "1.5"),
+        ("--bernoulli-p", "1.5"), ("--bernoulli-p", "-0.1"), ("--bernoulli-p", "nan"),
+        ("--laplace-loc", "nan"), ("--laplace-loc", "inf"), ("--laplace-loc", "-inf"),
+        ("--laplace-scale", "inf"), ("--laplace-scale", "-1"), ("--laplace-scale", "nan"),
+    ]
+
+    @pytest.mark.parametrize("flag, value", BAD_VALUES)
+    def test_bad_gen_data_flag(self, tmp_path, capsys, flag, value):
+        out_train, out_test = tmp_path / "train.csv", tmp_path / "test.csv"
+        argv = ["gen-data", "--out-train", str(out_train), "--out-test", str(out_test)]
+        self._exits_two_naming(capsys, [*argv, f"{flag}={value}"], flag, value)
+        assert not out_train.exists() and not out_test.exists()
+
+    @pytest.mark.parametrize("flag, value", BAD_VALUES)
+    def test_bad_experiment_data_flag(self, tmp_path, capsys, flag, value):
+        out_dir = tmp_path / "exp"
+        argv = ["experiment", *TestExperiment.FLAGS, f"{flag}={value}", "--out-dir", str(out_dir)]
+        self._exits_two_naming(capsys, argv, flag, value)
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "0.5,1", "-0.1", "0.5,nan", "0.5;0.9"])
+    def test_bad_eval_levels(self, tmp_path, capsys, value):
+        argv = [
+            "eval", "--model", str(tmp_path / "absent.json"), "--data",
+            str(tmp_path / "absent.csv"), "--levels", value,
+        ]
+        self._exits_two_naming(capsys, argv, "--levels", value)
+
+    def test_rank_above_d_is_still_checked_by_the_spec(self, tmp_path, capsys):
+        argv = [
+            "gen-data", "--d", "3", "--rank", "4", "--out-train", str(tmp_path / "a.csv"),
+            "--out-test", str(tmp_path / "b.csv"),
+        ]
+        code, _, err = run_cli(capsys, argv)
+        assert code == 2
+        assert "effective_rank must lie in [1, d=3], got 4" in err
+
+    def test_flags_accept_their_boundary_values(self):
+        parser = build_parser()
+        gen = parser.parse_args(
+            [
+                "gen-data", "--out-train", "a.csv", "--out-test", "b.csv", "--n", "1",
+                "--d", "1", "--rank", "1", "--test-n", "1", "--seed", "0",
+                "--bernoulli-p", "1", "--laplace-loc=-1e300", "--laplace-scale", "0",
+            ]
+        )
+        assert (gen.n, gen.d, gen.rank, gen.test_n, gen.seed) == (1, 1, 1, 1, 0)
+        assert (gen.bernoulli_p, gen.laplace_loc, gen.laplace_scale) == (1.0, -1e300, 0.0)
+        assert parser.parse_args(["experiment", "--bernoulli-p", "0"]).bernoulli_p == 0.0
+        for p in ("0", "0.999"):
+            train = parser.parse_args(["train", "--data", "d.csv", "--out", "m.json", "--p", p])
+            assert train.p == float(p)
+        evals = ["eval", "--model", "m.json", "--data", "d.csv"]
+        assert parser.parse_args(evals).levels == [0.5, 0.9]
+        assert parser.parse_args([*evals, "--levels", "0, 0.99,"]).levels == [0.0, 0.99]
+        assert parser.parse_args([*evals, "--levels", ""]).levels == []
+
+    def test_empty_eval_levels_report_the_mean_only(self, tmp_path, capsys):
+        data, _ = write_consistent_csv(tmp_path)
+        model = tmp_path / "m.json"
+        argv = ["train", "--data", str(data), "--out", str(model), "--objective", "erm"]
+        assert run_cli(capsys, argv)[0] == 0
+        code, lines, _ = run_cli(
+            capsys, ["eval", "--model", str(model), "--data", str(data), "--levels", ","]
+        )
+        assert code == 0
+        assert lines[-1]["quantiles"] == {} and lines[-1]["levels"] == []
+
+
 def test_main_leaves_numpy_error_state_unchanged(tmp_path, capsys):
     before = np.geterr()
     data, _ = write_consistent_csv(tmp_path)
@@ -653,6 +763,16 @@ def test_main_leaves_numpy_error_state_unchanged(tmp_path, capsys):
 
 
 class TestScriptability:
+    def test_cli_import_loads_no_scipy(self):
+        # numpy is the only runtime dependency; scipy is for the tests alone.
+        run = run_python(
+            "-c",
+            "import sys, tailopt.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"
+
     def test_stdout_is_json_only_in_subprocess(self, tmp_path):
         data, _ = write_consistent_csv(tmp_path)
         train = run_module(

@@ -1,3 +1,6 @@
+import warnings
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -78,6 +81,27 @@ class TestLinearLogistic:
         # The mirrored case must not overflow either.
         v_neg = sample_value(loss, w, x, -1.0)
         assert v_neg == pytest.approx(40.0, rel=1e-12)
+
+    def test_slope_at_extreme_margins(self):
+        loss = LinearLogistic()
+        special = np.array([0.0, 1e-300, 36.7, 40.0, 700.0, 709.0, 800.0])
+        margins = np.concatenate([special, -special, np.linspace(-750.0, 750.0, 301)])
+        tiny = np.finfo(float).tiny
+        for y in (-1.0, 1.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = loss.slope(y * margins, np.full_like(margins, y))  # y * z == margin
+            for t, g in zip(margins, got):
+                with localcontext() as ctx:
+                    ctx.prec = 80
+                    ref = -Decimal(y) / (1 + Decimal(float(t)).exp())
+                if abs(ref) >= Decimal(tiny):
+                    ulp = Decimal(float(np.spacing(abs(float(ref)))))
+                    assert abs(Decimal(float(g)) - ref) <= 4 * ulp, (y, t, g)
+                else:  # the reference is past the normal range: the limit 0
+                    assert abs(g) < tiny, (y, t, g)
+            assert got[margins == -800.0][0] == -y
+            assert got[margins == 800.0][0] == 0.0
 
     def test_label_validation(self):
         loss = LinearLogistic()
