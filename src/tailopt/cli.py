@@ -15,6 +15,7 @@ import contextlib
 import csv
 import json
 import multiprocessing
+import re
 import sys
 from pathlib import Path
 
@@ -92,11 +93,27 @@ _count = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _probability = _checked(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
 _tail_level = _checked(float, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)")
-_levels = _checked(
-    lambda text: [float(tok) for tok in text.split(",") if tok.strip()],
+_level_list = _checked(
+    # Adding 0.0 turns -0.0 into 0.0, so both are reported under the key "0".
+    lambda text: [float(tok) + 0.0 for tok in text.split(",") if tok.strip()],
     lambda levels: all(0.0 <= v < 1.0 for v in levels),
     "comma-separated numbers in [0, 1)",
 )
+
+
+def _levels(text: str) -> list[float]:
+    """The report levels of ``--levels``, each once.  Two distinct levels
+    that ``eval`` would report under one ``%g`` key are an error."""
+    by_key: dict[str, float] = {}
+    for p in _level_list(text):
+        other = by_key.setdefault(format(p, "g"), p)
+        if other != p:
+            raise argparse.ArgumentTypeError(
+                f"levels {other!r} and {p!r} would both be reported as {format(p, 'g')!r}"
+            )
+    return list(by_key.values())
+
+
 _step_size = _checked(
     lambda text: text if text == "auto" else float(text),
     lambda v: v == "auto" or 0.0 < v < np.inf,
@@ -391,8 +408,17 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that also reads exponent forms such as ``-1e3`` and
+    ``-1.5E-2`` as negative numbers, not as flags; subparsers inherit it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tailopt",
         description="Train and evaluate tail-risk (superquantile) linear models.",
     )

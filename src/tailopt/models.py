@@ -28,7 +28,11 @@ class LinearLeastSquares:
 
     def value(self, z, y):
         r = y - z
-        return 0.5 * r * r
+        # 0.5 * r * r with one temporary fewer, bit for bit; r * r first
+        # would overflow for |r| above about 1.34e154.
+        h = 0.5 * r
+        h *= r
+        return h
 
     def slope(self, z, y):
         return z - y

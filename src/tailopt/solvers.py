@@ -126,23 +126,48 @@ class SolverResult:
 def tune_initial_step(oracle: Oracle, x0, f0: float | None = None, g0=None) -> float:
     """Largest step on a geometric grid that strictly decreases the objective.
 
-    The grid is 2**k / (1 + ||g0||) for k = -20..20, scanned from the largest
-    step down; scanning order makes the result deterministic.  A caller that
-    has already evaluated the oracle at ``x0`` passes its value and gradient
-    as ``f0`` and ``g0``; otherwise the tuner evaluates them.  If no step
-    decreases the objective a :class:`TuneStepWarning` is emitted and the
-    smallest grid step is returned.
+    The grid is base * 2**k for k = -20..20, with base = 1 / (1 + ||g0||).
+    The tuner first tries k = 0.  If that step decreases f, it bisects over
+    k in [0, 21), keeping ``lo`` a decreasing exponent and ``hi`` one that is
+    not (k = 21 is never evaluated), and returns base * 2**lo: 6 trials or
+    fewer.  Otherwise it tries k = -1, -2, ..., -20 in turn and returns the
+    first that decreases f: at most 21 trials in all.
+
+    This is the largest decreasing grid step whenever phi(a) = f(x0 - a*g0)
+    is convex in a, as it is for the exact and smoothed superquantile of a
+    convex margin loss: the steps with phi(a) < f0 then form an interval
+    that starts at 0, so the decreasing exponents are exactly those up to
+    the largest one, and none above 0 decreases f when k = 0 does not.  For
+    an oracle that is not convex along the ray the result can differ from a
+    full scan of the grid from the top.
+
+    A caller that has already evaluated the oracle at ``x0`` passes its value
+    and gradient as ``f0`` and ``g0``; otherwise the tuner evaluates them.  If
+    no step decreases the objective a :class:`TuneStepWarning` is emitted and
+    the smallest grid step is returned.
     """
     x0 = np.asarray(x0, dtype=float)
     if f0 is None or g0 is None:
         f0, g0 = oracle(x0)
     g0 = np.asarray(g0, dtype=float)
     base = 1.0 / (1.0 + float(np.linalg.norm(g0)))
-    for k in range(20, -21, -1):
-        alpha = base * 2.0**k
-        f_trial, _ = oracle(x0 - alpha * g0)
-        if np.isfinite(f_trial) and f_trial < f0:
-            return alpha
+
+    def decreases(k: int) -> bool:
+        f_trial, _ = oracle(x0 - (base * 2.0**k) * g0)
+        return bool(np.isfinite(f_trial) and f_trial < f0)
+
+    if decreases(0):
+        lo, hi = 0, 21
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if decreases(mid):
+                lo = mid
+            else:
+                hi = mid
+        return base * 2.0**lo
+    for k in range(-1, -21, -1):
+        if decreases(k):
+            return base * 2.0**k
     warnings.warn("no decreasing trial step found; returning smallest grid step", TuneStepWarning)
     return base * 2.0**-20
 

@@ -416,6 +416,27 @@ def central_difference_gradient(fun, w: np.ndarray, h: float = 1e-6) -> np.ndarr
 
 
 # ---------------------------------------------------------------------------
+# solver references
+# ---------------------------------------------------------------------------
+
+def scan_initial_step(oracle, x0, f0: float, g0) -> float:
+    """Largest grid step 2**k / (1 + ||g0||), k = 20..-20, that strictly
+    decreases the objective, found by trying every step from the largest
+    down; the smallest grid step if none does.  Reference for
+    ``tune_initial_step``, which needs no scan when f is convex along the ray.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    g0 = np.asarray(g0, dtype=float)
+    base = 1.0 / (1.0 + float(np.linalg.norm(g0)))
+    for k in range(20, -21, -1):
+        alpha = base * 2.0**k
+        f_trial, _ = oracle(x0 - alpha * g0)
+        if np.isfinite(f_trial) and f_trial < f0:
+            return alpha
+    return base * 2.0**-20
+
+
+# ---------------------------------------------------------------------------
 # fixtures
 # ---------------------------------------------------------------------------
 

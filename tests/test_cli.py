@@ -303,6 +303,28 @@ class TestEval:
         assert code == 0
         assert lines[-1]["levels"] == [0.1, 0.5, 0.9]
 
+    def test_repeated_level_is_reported_once(self, tmp_path, capsys):
+        data, _ = write_consistent_csv(tmp_path, seed=5)
+        model = self._train_erm(tmp_path, capsys, data)
+        argv = ["eval", "--model", str(model), "--data", str(data)]
+        code, lines, err = run_cli(capsys, [*argv, "--levels", "0.5,0.5,0.9,0.50"])
+        assert code == 0
+        assert lines[-1]["levels"] == [0.5, 0.9]
+        assert list(lines[-1]["quantiles"]) == ["0.5", "0.9"]
+        assert err.count("q0.5") == 1
+        assert run_cli(capsys, argv) == (0, lines, err)
+
+    def test_levels_sharing_a_report_key_exit_two_naming_both(self, tmp_path, capsys):
+        argv = [
+            "eval", "--model", str(tmp_path / "absent.json"), "--data",
+            str(tmp_path / "absent.csv"), "--levels", "0.5,0.9,0.9000001",
+        ]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --levels: levels 0.9 and 0.9000001 would both be reported as '0.9'" in err
+
     @pytest.mark.parametrize(
         "text",
         ['{"weights": [1.0, ', '{"config": {}}', '{"weights": [0, 0, 0, 0], "config": 3}'],
@@ -712,6 +734,36 @@ class TestDataFlags:
         ]
         self._exits_two_naming(capsys, argv, "--levels", value)
 
+    @pytest.mark.parametrize("command", ["gen-data", "experiment"])
+    @pytest.mark.parametrize(
+        "value, expected", [("-1e3", -1e3), ("-1.5E-2", -1.5e-2), ("-2.e+1", -20.0), ("-.5e1", -5.0)]
+    )
+    def test_negative_exponent_form_is_a_value(self, command, value, expected):
+        argv = [command, "--laplace-loc", value]
+        if command == "gen-data":
+            argv += ["--out-train", "a.csv", "--out-test", "b.csv"]
+        assert build_parser().parse_args(argv).laplace_loc == expected
+
+    def test_gen_data_runs_with_negative_exponent_location(self, tmp_path, capsys):
+        out_train, out_test = tmp_path / "train.csv", tmp_path / "test.csv"
+        argv = [
+            "gen-data", "--n", "20", "--d", "3", "--rank", "2", "--test-n", "5",
+            "--laplace-loc", "-1e3", "--out-train", str(out_train), "--out-test", str(out_test),
+        ]
+        code, lines, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert lines[-1]["spec"]["laplace_loc"] == -1000.0
+        assert out_train.exists() and out_test.exists()
+
+    def test_bad_negative_exponent_values_name_their_flag(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        argv = ["train", "--data", str(tmp_path / "absent.csv"), "--out", str(out)]
+        self._exits_two_naming(capsys, [*argv, "--mu", "-1e3"], "--mu", "-1e3")
+        assert not out.exists()
+        argv = ["experiment", *TestExperiment.FLAGS, "--out-dir", str(tmp_path / "exp")]
+        self._exits_two_naming(capsys, [*argv, "--laplace-loc", "-1e400"], "--laplace-loc", "-1e400")
+        assert not (tmp_path / "exp").exists()
+
     def test_rank_above_d_is_still_checked_by_the_spec(self, tmp_path, capsys):
         argv = [
             "gen-data", "--d", "3", "--rank", "4", "--out-train", str(tmp_path / "a.csv"),
@@ -740,6 +792,7 @@ class TestDataFlags:
         assert parser.parse_args(evals).levels == [0.5, 0.9]
         assert parser.parse_args([*evals, "--levels", "0, 0.99,"]).levels == [0.0, 0.99]
         assert parser.parse_args([*evals, "--levels", ""]).levels == []
+        assert [str(p) for p in parser.parse_args([*evals, "--levels=-0.0,0"]).levels] == ["0.0"]
 
     def test_empty_eval_levels_report_the_mean_only(self, tmp_path, capsys):
         data, _ = write_consistent_csv(tmp_path)

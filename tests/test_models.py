@@ -63,6 +63,21 @@ class TestLinearLeastSquares:
         assert np.allclose(acc, scalar_acc, rtol=1e-12)
 
 
+    def test_value_is_bit_equal_to_half_r_times_r(self):
+        loss = LinearLeastSquares()
+        rng = np.random.default_rng(3)
+        z = rng.standard_normal(2000) * 10.0 ** rng.integers(-200, 150, 2000)
+        y = rng.standard_normal(2000) * 10.0 ** rng.integers(-200, 150, 2000)
+        # Residuals near 1.5e154: (0.5 * r) * r is finite where r * r overflows.
+        z = np.concatenate([z, [1.5e154, -1.5e154, 1.8e154, 1.34e154]])
+        y = np.concatenate([y, [0.0, 0.0, 0.0, -1e140]])
+        r = y - z
+        expected = 0.5 * r * r
+        got = loss.value(z, y)
+        assert np.array_equal(got, expected)
+        assert np.isfinite(got).all()
+
+
 class TestLinearLogistic:
     def test_zero_margin(self):
         loss = LinearLogistic()

@@ -14,7 +14,13 @@ from tailopt.solvers import (
 )
 from tailopt.superquantile import exact_oracle
 
-from helpers import AbsoluteDeviationLoss, RecordingOracle, quadratic_oracle, random_lsq_dataset
+from helpers import (
+    AbsoluteDeviationLoss,
+    RecordingOracle,
+    quadratic_oracle,
+    random_lsq_dataset,
+    scan_initial_step,
+)
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -63,14 +69,48 @@ class TestTuneInitialStep:
     def test_quadratic_picks_largest_decreasing_grid_point(self):
         # f = w^2/2 from x0 = 1: any step in (0, 2) decreases f; the grid
         # 2^k/(1+1) contains 1.0 and 2.0, and 2.0 gives no strict decrease.
-        oracle = lambda w: (0.5 * float(w @ w), w.copy())
+        # After x0 the tuner tries k = 0, 10, 5, 2 and 1; 0 and 1 decrease f.
+        oracle = RecordingOracle(lambda w: (0.5 * float(w @ w), w.copy()))
         assert tune_initial_step(oracle, np.array([1.0])) == 1.0
+        assert [float(x[0]) for x in oracle.points] == [1.0, 0.5, -511.0, -15.0, -1.0, 0.0]
+
+    def test_small_steps_are_scanned_when_the_unit_grid_step_fails(self):
+        # f = 10 w^2 from x0 = 0.05: g0 = 1, so base = 0.5, and a step decreases
+        # f only below 0.1.  k = 0, -1 and -2 fail; k = -3 is returned.
+        oracle = RecordingOracle(lambda w: (10.0 * float(w @ w), 20.0 * w))
+        x0 = np.array([0.05])
+        f0, g0 = 0.025, np.array([1.0])
+        assert tune_initial_step(oracle, x0, f0, g0) == 0.5 * 2.0**-3
+        assert len(oracle.points) == 4
+        assert scan_initial_step(oracle.oracle, x0, f0, g0) == 0.5 * 2.0**-3
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_full_scan_on_tail_toys(self, seed):
+        # f is convex along every ray here, so bisection finds the scan's step.
+        ds = random_lsq_dataset(seed, n=200, d=5, noise=0.3)
+        loss = LinearLeastSquares()
+        oracles = [
+            lambda w: exact_oracle(loss, ds, w, 0.9),
+            lambda w: smoothed_oracle(loss, ds, w, RiskParams(p=0.9, mu=1e-2)),
+            lambda w: smoothed_oracle(
+                loss, ds, w, RiskParams(p=0.9, mu=1.0, penalty="entropic")
+            ),
+        ]
+        starts = [np.zeros(5), np.ones(5), 3.0 * np.random.default_rng(seed).standard_normal(5)]
+        for oracle in oracles:
+            for x0 in starts:
+                f0, g0 = oracle(x0)
+                assert tune_initial_step(oracle, x0, f0, g0) == scan_initial_step(
+                    oracle, x0, f0, g0
+                )
 
     def test_constant_objective_warns_and_falls_back(self):
-        oracle = lambda w: (1.0, np.ones(1))
+        # x0, then the 21 trials k = 0, -1, ..., -20.
+        oracle = RecordingOracle(lambda w: (1.0, np.ones(1)))
         with pytest.warns(TuneStepWarning):
             step = tune_initial_step(oracle, np.zeros(1))
         assert step == pytest.approx(0.5 * 2.0**-20)
+        assert len(oracle.points) == 22
 
     def test_deterministic(self):
         ds, _, smooth = tail_toy()
@@ -563,9 +603,9 @@ class TestSharedContract:
         "algo", [a for a in Algorithm if a is not Algorithm.LBFGS]
     )
     def test_auto_step_tuning_reuses_first_evaluation(self, algo):
-        # f = w^2/2 from x0 = 1: the tuner rejects the 20 grid steps 2^k/2 for
-        # k = 20..1 and accepts k = 1, so two iterates cost x0, 20 trials and
-        # x1; x0 is not evaluated a second time inside the tuner.
+        # f = w^2/2 from x0 = 1: the tuner tries the grid steps 2^k/2 for
+        # k = 0, 10, 5, 2, 1 and returns k = 1, so two iterates cost x0, five
+        # trials and x1; x0 is not evaluated a second time inside the tuner.
         oracle = lambda w: (0.5 * float(w @ w), w.copy())
         r = run_solver(
             oracle,
@@ -574,7 +614,7 @@ class TestSharedContract:
             ),
         )
         assert len(r.objective_trace) == 2
-        assert r.oracle_calls == 22
+        assert r.oracle_calls == 7
 
     def test_smoothing_consistency_toward_exact_optimum(self):
         ds, exact, _ = tail_toy()
