@@ -409,12 +409,13 @@ def cmd_experiment(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser that also reads exponent forms such as ``-1e3`` and
-    ``-1.5E-2`` as negative numbers, not as flags; subparsers inherit it."""
+    """An argument parser that reads a token starting with ``-`` and a digit, or
+    ``-.`` and a digit, as a value, not as a flag, so ``-1e3`` and ``-0.1,0.5``
+    reach their flag's own check.  Subparsers inherit it."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
 
 def build_parser() -> argparse.ArgumentParser:

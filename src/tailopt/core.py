@@ -172,8 +172,6 @@ def _gradient(
     """
     if support is None:
         X, y, zs, qs = data.features, data.targets, z, q
-    elif support.size == 0:
-        return np.zeros(data.d)
     else:
         X = data.features.take(support, axis=0)
         y, zs, qs = data.targets[support], z[support], q[support]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,16 +59,16 @@ class EmptyDatasetError(DataFormatError):
 class SyntheticSpec:
     """Settings for the synthetic low-rank regression corpus.
 
-    Targets are a linear signal plus mixture noise: with probability
+    Targets are a linear signal X @ w_bar, with w_bar a seeded standard normal
+    vector (see :func:`resolve_w_bar`), plus mixture noise: with probability
     ``bernoulli_p`` a standard normal draw, otherwise a Laplace draw with the
-    given location and scale.  ``w_bar`` defaults to a seeded standard normal
-    vector (see :func:`resolve_w_bar`).
+    given location and scale.  ``seed`` is the master seed that
+    :func:`seed_streams` splits.
     """
 
     n: int = 10000
     d: int = 40
     effective_rank: int = 30
-    w_bar: np.ndarray | None = field(default=None, repr=False)
     bernoulli_p: float = 0.8
     laplace_loc: float = 10.0
     laplace_scale: float = 1.0
@@ -125,26 +125,23 @@ def _laplace_inverse_cdf(u: np.ndarray, loc: float, scale: float) -> np.ndarray:
 
 
 def resolve_w_bar(spec: SyntheticSpec, seed) -> np.ndarray:
-    """The spec's ground-truth parameters, drawing a seeded default if unset."""
-    if spec.w_bar is not None:
-        w = np.asarray(spec.w_bar, dtype=float)
-        if w.shape != (spec.d,):
-            raise ValueError(f"w_bar has shape {w.shape}, expected ({spec.d},)")
-        return w
+    """The spec's ground-truth parameters: a standard normal vector of length d."""
     return np.random.default_rng(seed).standard_normal(spec.d)
 
 
-def generate_targets(X: np.ndarray, w_bar: np.ndarray, spec: SyntheticSpec, seed=None) -> np.ndarray:
+def generate_targets(X: np.ndarray, w_bar: np.ndarray, spec: SyntheticSpec, seed) -> np.ndarray:
     """Targets X @ w_bar plus per-sample normal/Laplace mixture noise.
 
+    The noise takes its mixture weight, location and scale from ``spec``.
     All three draws (mixture flag, normal, Laplace) are made independently for
-    every sample from the generator seeded by ``seed`` (default: the spec's).
+    every sample from the generator seeded by ``seed``, one of the streams
+    of :func:`seed_streams`.
     """
     X = np.asarray(X, dtype=float)
     w_bar = np.asarray(w_bar, dtype=float)
     if X.shape[1] != w_bar.shape[0]:
         raise ValueError(f"X has {X.shape[1]} columns but w_bar has length {w_bar.shape[0]}")
-    rng = np.random.default_rng(spec.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     n = X.shape[0]
     gaussian = rng.random(n) < spec.bernoulli_p
     eps_normal = rng.standard_normal(n)

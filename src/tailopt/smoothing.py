@@ -96,6 +96,14 @@ def _validate(losses, p: float, mu: float) -> np.ndarray:
     return L
 
 
+def _out_of_range(what: str, L: np.ndarray, mu: float) -> EvaluationError:
+    # The weight step lost its root to rounding: the losses dwarf mu.
+    ratio = float(np.max(np.abs(L))) / mu
+    return EvaluationError(
+        f"{what} at loss-to-mu ratio {ratio:.3g}; a larger mu keeps the weight step in range"
+    )
+
+
 def _uniform_output(L: np.ndarray, lam: float) -> SmoothedOracleOutput:
     # Degenerate feasible set: the uniform vector is the only point.
     n = L.size
@@ -140,11 +148,7 @@ def smoothed_weights_euclidean(losses, p: float, mu: float) -> SmoothedOracleOut
     # so in exact arithmetic a sign change exists between adjacent breakpoints.
     # Once the losses dwarf mu, rounding in the prefix sums can hide it.
     if theta[b_idx] <= 0.0 or b_idx == 0:
-        ratio = float(np.max(np.abs(L))) / mu
-        raise EvaluationError(
-            f"Euclidean dual derivative not bracketed at loss-to-mu ratio {ratio:.3g}; "
-            "a larger mu keeps the weight step in range"
-        )
+        raise _out_of_range("Euclidean dual derivative not bracketed", L, mu)
     a, b = bps[b_idx - 1], bps[b_idx]
     ta, tb = theta[b_idx - 1], theta[b_idx]
     if abs(ta) <= 1e-12:
@@ -258,11 +262,7 @@ def smoothed_weights_entropic(losses, p: float, mu: float) -> SmoothedOracleOutp
     feasible = margin <= log_cap + 1e-9
     kstar = int(np.argmax(feasible))
     if not feasible[kstar]:
-        ratio = float(np.max(np.abs(L))) / mu
-        raise EvaluationError(
-            f"entropic cap count not found at loss-to-mu ratio {ratio:.3g}; "
-            "a larger mu keeps the weight step in range"
-        )
+        raise _out_of_range("entropic cap count not found", L, mu)
 
     # The uncapped block gets mass * exp(d_i) / Z with d_i = s_i - s_max, where
     # s_max = ss[kstar] is its largest entry and Z = sum_j exp(d_j): every
@@ -305,7 +305,7 @@ def smoothed_oracle(
     the maximizer, hence exact for the surrogate (not a finite-difference
     approximation).
     """
-    if params.mu is None or not params.mu > 0.0:
+    if params.mu is None:
         raise ValueError("smoothed oracle requires mu > 0 in RiskParams")
     # Looked up at call time, so a rebound weight function is the one called.
     if params.penalty is Penalty.ENTROPIC:

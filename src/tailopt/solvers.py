@@ -123,53 +123,39 @@ class SolverResult:
     oracle_calls: int
 
 
-def tune_initial_step(oracle: Oracle, x0, f0: float | None = None, g0=None) -> float:
+def tune_initial_step(oracle: Oracle, x0, f0: float, g0) -> float:
     """Largest step on a geometric grid that strictly decreases the objective.
 
-    The grid is base * 2**k for k = -20..20, with base = 1 / (1 + ||g0||).
-    The tuner first tries k = 0.  If that step decreases f, it bisects over
-    k in [0, 21), keeping ``lo`` a decreasing exponent and ``hi`` one that is
-    not (k = 21 is never evaluated), and returns base * 2**lo: 6 trials or
-    fewer.  Otherwise it tries k = -1, -2, ..., -20 in turn and returns the
-    first that decreases f: at most 21 trials in all.
+    ``f0`` and ``g0`` are the oracle's value and gradient at ``x0``.  The grid
+    is base * 2**k for k = -20..20, with base = 1 / (1 + ||g0||).  One
+    bisection over k in [-21, 21) keeps ``lo`` an exponent whose step
+    decreases f and ``hi`` one whose step does not; neither end is evaluated,
+    so the first trial is k = 0 and there are at most 6 trials.  It returns
+    base * 2**lo, or, when no trial decreased f, emits a
+    :class:`TuneStepWarning` and returns the smallest grid step.
 
     This is the largest decreasing grid step whenever phi(a) = f(x0 - a*g0)
     is convex in a, as it is for the exact and smoothed superquantile of a
     convex margin loss: the steps with phi(a) < f0 then form an interval
     that starts at 0, so the decreasing exponents are exactly those up to
-    the largest one, and none above 0 decreases f when k = 0 does not.  For
-    an oracle that is not convex along the ray the result can differ from a
-    full scan of the grid from the top.
-
-    A caller that has already evaluated the oracle at ``x0`` passes its value
-    and gradient as ``f0`` and ``g0``; otherwise the tuner evaluates them.  If
-    no step decreases the objective a :class:`TuneStepWarning` is emitted and
-    the smallest grid step is returned.
+    the largest one.  For an oracle that is not convex along the ray the
+    result can differ from a full scan of the grid from the top.
     """
     x0 = np.asarray(x0, dtype=float)
-    if f0 is None or g0 is None:
-        f0, g0 = oracle(x0)
     g0 = np.asarray(g0, dtype=float)
     base = 1.0 / (1.0 + float(np.linalg.norm(g0)))
-
-    def decreases(k: int) -> bool:
-        f_trial, _ = oracle(x0 - (base * 2.0**k) * g0)
-        return bool(np.isfinite(f_trial) and f_trial < f0)
-
-    if decreases(0):
-        lo, hi = 0, 21
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if decreases(mid):
-                lo = mid
-            else:
-                hi = mid
-        return base * 2.0**lo
-    for k in range(-1, -21, -1):
-        if decreases(k):
-            return base * 2.0**k
-    warnings.warn("no decreasing trial step found; returning smallest grid step", TuneStepWarning)
-    return base * 2.0**-20
+    lo, hi = -21, 21
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        f_trial, _ = oracle(x0 - (base * 2.0**mid) * g0)
+        if np.isfinite(f_trial) and f_trial < f0:
+            lo = mid
+        else:
+            hi = mid
+    if lo == -21:
+        warnings.warn("no decreasing trial step found; returning smallest grid step", TuneStepWarning)
+        return base * 2.0**-20
+    return base * 2.0**lo
 
 
 def _step_or_tune(

@@ -106,16 +106,6 @@ def exact_subgradient_weights(losses, p: float) -> ExactOracleOutput:
     n = L.size
     if not 0.0 <= p < 1.0:
         raise ValueError(f"tail level must lie in [0, 1), got {p}")
-    if p == 0.0:
-        weights = np.full(n, 1.0 / n)
-        qv = float(L.min())
-        return ExactOracleOutput(
-            value=float(weights @ L),
-            weights=weights,
-            quantile=qv,
-            tie_set_size=int(np.count_nonzero(L == qv)),
-            support=None,
-        )
     cap = 1.0 / (n * (1.0 - p))
     qv = quantile(L, p)
     S = np.flatnonzero(L >= qv)

@@ -734,6 +734,16 @@ class TestDataFlags:
         ]
         self._exits_two_naming(capsys, argv, "--levels", value)
 
+    def test_level_list_starting_with_a_minus_sign_is_a_value(self, tmp_path, capsys):
+        # The whole list is the value of --levels, so a bad first level is
+        # named by the level check, not taken for a flag.
+        argv = [
+            "eval", "--model", str(tmp_path / "absent.json"), "--data",
+            str(tmp_path / "absent.csv"), "--levels",
+        ]
+        self._exits_two_naming(capsys, [*argv, "-0.1,0.5"], "--levels", "-0.1,0.5")
+        assert build_parser().parse_args([*argv, "-0.0,0.5"]).levels == [0.0, 0.5]
+
     @pytest.mark.parametrize("command", ["gen-data", "experiment"])
     @pytest.mark.parametrize(
         "value, expected", [("-1e3", -1e3), ("-1.5E-2", -1.5e-2), ("-2.e+1", -20.0), ("-.5e1", -5.0)]

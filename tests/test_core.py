@@ -10,7 +10,7 @@ from tailopt.core import (
     check_dual_weights,
     jacobian_transpose_apply,
 )
-from tailopt.models import LinearLeastSquares
+from tailopt.models import LinearLeastSquares, LinearLogistic
 
 from helpers import CountingLoss, random_lsq_dataset, sample_gradient
 
@@ -212,9 +212,14 @@ class TestJacobianTransposeApply:
         assert np.array_equal(got, want)
 
     def test_all_zero_weights(self):
-        ds = random_lsq_dataset(12, n=4, d=3)
-        got = jacobian_transpose_apply(CountingLoss(), ds, np.zeros(3), np.zeros(4))
-        assert np.array_equal(got, np.zeros(3))
+        # The empty support goes through the general gather: each loss sees
+        # empty margins, and the product is +0.0 in every coordinate.
+        rng = np.random.default_rng(12)
+        ds = Dataset(rng.standard_normal((4, 3)), np.where(rng.random(4) < 0.5, -1.0, 1.0))
+        for loss in (CountingLoss(), LinearLeastSquares(), LinearLogistic()):
+            got = jacobian_transpose_apply(loss, ds, rng.standard_normal(3), np.zeros(4))
+            assert got.dtype == np.float64 and got.shape == (3,)
+            assert np.array_equal(got, np.zeros(3)) and not np.signbit(got).any()
 
     def test_nonfinite_gradient_names_sample(self):
         class BadSlope(LinearLeastSquares):

@@ -89,13 +89,6 @@ class TestGenerateTargets:
             generate_targets(X, w_bar, spec, seed=8), generate_targets(X, w_bar, spec, seed=8)
         )
 
-    def test_explicit_w_bar_roundtrip(self):
-        w = np.array([1.0, -2.0, 0.5])
-        spec = SyntheticSpec(n=10, d=3, effective_rank=2, w_bar=w, seed=0)
-        assert np.array_equal(resolve_w_bar(spec, seed=0), w)
-        with pytest.raises(ValueError):
-            resolve_w_bar(SyntheticSpec(n=10, d=4, effective_rank=2, w_bar=w, seed=0), seed=0)
-
     def test_streams_are_distinct(self):
         streams = seed_streams(0)
         assert set(streams) == {

@@ -69,25 +69,26 @@ class TestTuneInitialStep:
     def test_quadratic_picks_largest_decreasing_grid_point(self):
         # f = w^2/2 from x0 = 1: any step in (0, 2) decreases f; the grid
         # 2^k/(1+1) contains 1.0 and 2.0, and 2.0 gives no strict decrease.
-        # After x0 the tuner tries k = 0, 10, 5, 2 and 1; 0 and 1 decrease f.
+        # The tuner tries k = 0, 10, 5, 2 and 1; 0 and 1 decrease f.
         oracle = RecordingOracle(lambda w: (0.5 * float(w @ w), w.copy()))
-        assert tune_initial_step(oracle, np.array([1.0])) == 1.0
-        assert [float(x[0]) for x in oracle.points] == [1.0, 0.5, -511.0, -15.0, -1.0, 0.0]
+        assert tune_initial_step(oracle, np.array([1.0]), 0.5, np.array([1.0])) == 1.0
+        assert [float(x[0]) for x in oracle.points] == [0.5, -511.0, -15.0, -1.0, 0.0]
 
     def test_small_steps_are_scanned_when_the_unit_grid_step_fails(self):
         # f = 10 w^2 from x0 = 0.05: g0 = 1, so base = 0.5, and a step decreases
-        # f only below 0.1.  k = 0, -1 and -2 fail; k = -3 is returned.
+        # f only below 0.1.  The tuner tries k = 0, -11, -6, -3 and -2; k = -3
+        # is the largest that decreases f.
         oracle = RecordingOracle(lambda w: (10.0 * float(w @ w), 20.0 * w))
         x0 = np.array([0.05])
         f0, g0 = 0.025, np.array([1.0])
         assert tune_initial_step(oracle, x0, f0, g0) == 0.5 * 2.0**-3
-        assert len(oracle.points) == 4
+        assert len(oracle.points) == 5
         assert scan_initial_step(oracle.oracle, x0, f0, g0) == 0.5 * 2.0**-3
 
-    @pytest.mark.parametrize("seed", range(30))
-    def test_matches_full_scan_on_tail_toys(self, seed):
+    @staticmethod
+    def _assert_matches_full_scan(ds, seed):
         # f is convex along every ray here, so bisection finds the scan's step.
-        ds = random_lsq_dataset(seed, n=200, d=5, noise=0.3)
+        # Returns how many of the 9 (oracle, start) pairs tuned below k = 0.
         loss = LinearLeastSquares()
         oracles = [
             lambda w: exact_oracle(loss, ds, w, 0.9),
@@ -97,32 +98,51 @@ class TestTuneInitialStep:
             ),
         ]
         starts = [np.zeros(5), np.ones(5), 3.0 * np.random.default_rng(seed).standard_normal(5)]
+        below_unit = 0
         for oracle in oracles:
             for x0 in starts:
                 f0, g0 = oracle(x0)
-                assert tune_initial_step(oracle, x0, f0, g0) == scan_initial_step(
-                    oracle, x0, f0, g0
-                )
+                rec = RecordingOracle(oracle)
+                step = tune_initial_step(rec, x0, f0, g0)
+                assert step == scan_initial_step(oracle, x0, f0, g0)
+                assert len(rec.points) <= 6
+                below_unit += step < 1.0 / (1.0 + float(np.linalg.norm(g0)))
+        return below_unit
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_full_scan_on_tail_toys(self, seed):
+        ds = random_lsq_dataset(seed, n=200, d=5, noise=0.3)
+        self._assert_matches_full_scan(ds, seed)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_full_scan_below_the_unit_grid_step(self, seed):
+        # With the features scaled by 8 the curvature grows faster than the
+        # gradient norm in base, so from some starts the step k = 0 no longer
+        # decreases f and the search runs below it.
+        ds = random_lsq_dataset(seed, n=200, d=5, noise=0.3)
+        scaled = Dataset(8.0 * ds.features, ds.targets)
+        assert self._assert_matches_full_scan(scaled, seed) > 0
 
     def test_constant_objective_warns_and_falls_back(self):
-        # x0, then the 21 trials k = 0, -1, ..., -20.
+        # The trials k = 0, -11, -16, -19 and -20 all fail.
         oracle = RecordingOracle(lambda w: (1.0, np.ones(1)))
         with pytest.warns(TuneStepWarning):
-            step = tune_initial_step(oracle, np.zeros(1))
+            step = tune_initial_step(oracle, np.zeros(1), 1.0, np.ones(1))
         assert step == pytest.approx(0.5 * 2.0**-20)
-        assert len(oracle.points) == 22
+        assert len(oracle.points) == 5
 
     def test_deterministic(self):
         ds, _, smooth = tail_toy()
         x0 = np.ones(5)
-        assert tune_initial_step(smooth, x0) == tune_initial_step(smooth, x0)
+        f0, g0 = smooth(x0)
+        assert tune_initial_step(smooth, x0, f0, g0) == tune_initial_step(smooth, x0, f0, g0)
 
     def test_given_value_and_gradient_are_not_evaluated_again(self):
         _, _, smooth = tail_toy()
         x0 = np.ones(5)
         rec = RecordingOracle(smooth)
         f0, g0 = smooth(x0)
-        assert tune_initial_step(rec, x0, f0, g0) == tune_initial_step(smooth, x0)
+        tune_initial_step(rec, x0, f0, g0)
         # Only trial steps were evaluated, never x0 itself.
         assert not any(np.array_equal(x, x0) for x in rec.points)
 

@@ -149,6 +149,11 @@ class TestExactSubgradientWeights:
         out = exact_subgradient_weights([1.0, 5.0, 2.0], 0.0)
         assert np.allclose(out.weights, 1.0 / 3)
         assert out.value == pytest.approx(8.0 / 3)
+        # Every weight is the cap 1/n exactly, and the minimum is the quantile.
+        L = np.array([2.0, 0.5, 7.0, 0.5, 3.0])
+        out = exact_subgradient_weights(L, 0.0)
+        assert np.array_equal(out.weights, np.full(5, 1.0 / 5)) and out.support is None
+        assert (out.value, out.quantile, out.tie_set_size) == (float(np.full(5, 0.2) @ L), 0.5, 2)
 
     def test_weights_feasible_and_attain_superquantile(self):
         rng = np.random.default_rng(7)
