@@ -4,11 +4,13 @@
 :class:`SolverConfig`, and runs the method named by ``config.algorithm``.
 Each method is a step generator ``(oracle, x0, config)`` that yields its
 evaluated iterates ``(x, f, g)`` one at a time, starting with ``x0``; it only
-decides where to evaluate next.  A generator that returns has failed its line
-search.  The driver alone counts oracle calls, checks that each yielded value
-and gradient are finite, records the objective trace and runs the stopping
-tests.  Because a generator is only resumed when the run goes on, no method
-spends oracle calls after its last recorded iterate.
+decides where to evaluate next.  A generator that returns ends the run with
+the :class:`Termination` it returns: gradient descent and L-BFGS return when
+their line search fails, or when it accepts a step that leaves x unchanged.
+The driver alone counts oracle calls, checks that each yielded value and
+gradient are finite, records the objective trace and runs the stopping tests.
+Because a generator is only resumed when the run goes on, no method spends
+oracle calls after an iterate that passes one of these tests.
 
 The returned solution is the evaluated iterate with the lowest recorded
 objective (subgradient-type and accelerated methods are not descent methods,
@@ -16,12 +18,12 @@ so last-iterate would be wrong); among tied iterates it is the latest, so a
 run that stops on the gradient test at a value tied with the best returns
 the iterate whose gradient passed.
 
-Stopping tests run after each recorded iterate in the order: gradient norm,
-best-objective stall, then the iteration budget.  Since ``grad_tol >= 0``, an
-exactly zero gradient always stops the run.  The stall test compares the
-running best objective against its value ten recorded iterations earlier;
-``f_tol = 0`` disables it, since a literal zero-improvement test would stop
-any oscillating method almost immediately.
+The driver's stopping tests run after each recorded iterate in the order:
+gradient norm, best-objective stall, then the iteration budget.  Since
+``grad_tol >= 0``, an exactly zero gradient always stops the run.  The stall
+test compares the running best objective against its value ten recorded
+iterations earlier; ``f_tol = 0`` disables it, since a literal
+zero-improvement test would stop any oscillating method almost immediately.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import warnings
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator
+from typing import Callable, Generator
 
 import numpy as np
 
@@ -49,11 +51,11 @@ __all__ = [
 ]
 
 Oracle = Callable[[np.ndarray], tuple[float, np.ndarray]]
-Steps = Iterator[tuple[np.ndarray, float, np.ndarray]]
+Steps = Generator[tuple[np.ndarray, float, np.ndarray], None, "Termination"]
 
 _STALL_WINDOW = 10
 _ARMIJO_C = 1e-4
-_MAX_HALVINGS = 50
+_MAX_TRIALS = 51
 _LBFGS_MEMORY = 10
 
 
@@ -70,6 +72,7 @@ class Termination(str, Enum):
     GRAD_TOL = "grad_tol"
     F_TOL = "f_tol"
     LINE_SEARCH_FAILURE = "line_search_failure"
+    NO_PROGRESS = "no_progress"
 
 
 class TuneStepWarning(UserWarning):
@@ -171,20 +174,36 @@ def _step_or_tune(
     return config.step_size
 
 
-def _backtrack(oracle: Oracle, x: np.ndarray, f: float, d: np.ndarray, slope: float, t0: float):
-    """Armijo backtracking along ``d`` from step ``t0``, halving on rejection.
+def _backtrack(
+    oracle: Oracle, x: np.ndarray, f: float, d: np.ndarray, slope: float, t0: float
+) -> tuple[np.ndarray, float, np.ndarray] | Termination:
+    """Armijo backtracking along ``d`` from step ``t0``, by safeguarded interpolation.
 
-    ``slope`` is the directional derivative g @ d.  Returns the accepted
-    ``(x, f, g)``, or None when every halving is rejected.
+    ``slope`` is the directional derivative g @ d.  After a rejected trial at
+    step t with a finite value f_t, the next trial is the minimiser of the
+    quadratic through f, ``slope`` and f_t, clipped to [0.1 t, 0.5 t]
+    (Nocedal & Wright, *Numerical Optimization*, section 3.5); after a
+    non-finite value it is t / 2.  Returns the accepted ``(x, f, g)``;
+    ``LINE_SEARCH_FAILURE`` when all ``_MAX_TRIALS`` trials are rejected, and
+    ``NO_PROGRESS`` when the accepted point is bit-identical to ``x``, since
+    the same search would then repeat at every later iteration.
     """
     t = t0
-    for _ in range(_MAX_HALVINGS + 1):
+    for _ in range(_MAX_TRIALS):
         x_trial = x + t * d
         f_trial, g_trial = oracle(x_trial)
-        if np.isfinite(f_trial) and f_trial <= f + _ARMIJO_C * t * slope:
+        if not np.isfinite(f_trial):
+            t *= 0.5
+        elif f_trial <= f + _ARMIJO_C * t * slope:
+            if np.array_equal(x_trial, x):
+                return Termination.NO_PROGRESS
             return x_trial, f_trial, g_trial
-        t *= 0.5
-    return None
+        else:
+            # A rejected trial has f_t > f + slope * t, so the quadratic is
+            # convex; a NaN from overflow falls to the lower clip.
+            t_min = -0.5 * slope * t * t / (f_trial - f - slope * t)
+            t = min(max(0.1 * t, t_min), 0.5 * t)
+    return Termination.LINE_SEARCH_FAILURE
 
 
 def _subgradient(oracle: Oracle, x: np.ndarray, config: SolverConfig) -> Steps:
@@ -221,10 +240,11 @@ def _dual_averaging(oracle: Oracle, x0: np.ndarray, config: SolverConfig) -> Ste
 
 
 def _gradient_descent(oracle: Oracle, x: np.ndarray, config: SolverConfig) -> Steps:
-    """Gradient descent with Armijo backtracking from a fixed trial step.
+    """Gradient descent with an Armijo line search from a fixed trial step.
 
-    The point the line search accepts is the next iterate, so its oracle
-    output is reused rather than evaluated again.
+    Every search starts from the tuned (or configured) step.  The point the
+    line search accepts is the next iterate, so its oracle output is reused
+    rather than evaluated again.
     """
     f, g = oracle(x)
     alpha = None
@@ -232,10 +252,10 @@ def _gradient_descent(oracle: Oracle, x: np.ndarray, config: SolverConfig) -> St
         yield x, f, g
         if alpha is None:
             alpha = _step_or_tune(oracle, x, f, g, config)
-        accepted = _backtrack(oracle, x, f, -g, -float(g @ g), alpha)
-        if accepted is None:
-            return
-        x, f, g = accepted
+        step = _backtrack(oracle, x, f, -g, -float(g @ g), alpha)
+        if isinstance(step, Termination):
+            return step
+        x, f, g = step
 
 
 def _accelerated_gradient(oracle: Oracle, x0: np.ndarray, config: SolverConfig) -> Steps:
@@ -283,13 +303,13 @@ def _two_loop(g: np.ndarray, memory: deque[tuple[np.ndarray, np.ndarray, float]]
 
 
 def _lbfgs(oracle: Oracle, x: np.ndarray, config: SolverConfig) -> Steps:
-    """Limited-memory BFGS (memory 10) with Armijo backtracking from t = 1.
+    """Limited-memory BFGS (memory 10) with an Armijo line search from t = 1.
 
     Curvature pairs with s @ y <= 1e-12 * ||s|| ||y|| are discarded, and the
     search direction falls back to steepest descent whenever the two-loop
-    output fails the descent test.  If backtracking exhausts its halvings on a
-    quasi-Newton direction, the memory is cleared and the step retried once
-    along the raw negative gradient before failure is reported.
+    output fails the descent test.  If the line search rejects all its trials
+    on a quasi-Newton direction, the memory is cleared and the step retried
+    once along the raw negative gradient before failure is reported.
     """
     memory: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=_LBFGS_MEMORY)
     f, g = oracle(x)
@@ -302,13 +322,13 @@ def _lbfgs(oracle: Oracle, x: np.ndarray, config: SolverConfig) -> Steps:
             d = -g
             slope = -float(g @ g)
             used_memory = False
-        accepted = _backtrack(oracle, x, f, d, slope, 1.0)
-        if accepted is None and used_memory:
+        step = _backtrack(oracle, x, f, d, slope, 1.0)
+        if step is Termination.LINE_SEARCH_FAILURE and used_memory:
             memory.clear()
-            accepted = _backtrack(oracle, x, f, -g, -float(g @ g), 1.0)
-        if accepted is None:
-            return
-        x_new, f_new, g_new = accepted
+            step = _backtrack(oracle, x, f, -g, -float(g @ g), 1.0)
+        if isinstance(step, Termination):
+            return step
+        x_new, f_new, g_new = step
         s = x_new - x
         yv = g_new - g
         sy = float(s @ yv)
@@ -344,7 +364,13 @@ def run_solver(oracle: Oracle, config: SolverConfig) -> SolverResult:
     trace: list[float] = []
     best_f, best_x = math.inf, None
     best_hist: deque[float] = deque(maxlen=_STALL_WINDOW + 1)
-    for x, f, g in _STEPS[Algorithm(config.algorithm)](counted, config.start_point(), config):
+    steps = _STEPS[Algorithm(config.algorithm)](counted, config.start_point(), config)
+    while True:
+        try:
+            x, f, g = next(steps)
+        except StopIteration as stop:
+            termination = stop.value
+            break
         if not (np.isfinite(f) and np.isfinite(g).all()):
             err = EvaluationError(f"non-finite oracle output at iteration {len(trace)}")
             err.objective_trace = trace
@@ -366,8 +392,6 @@ def run_solver(oracle: Oracle, config: SolverConfig) -> SolverResult:
         else:
             continue
         break
-    else:  # the step generator returned
-        termination = Termination.LINE_SEARCH_FAILURE
     return SolverResult(
         solution=best_x,
         objective_trace=np.asarray(trace),

@@ -182,6 +182,29 @@ class TestTrain:
         )
         assert code == 4
 
+    def test_no_progress_stop_exits_zero(self, tmp_path, capsys):
+        # With both tolerances at zero, L-BFGS runs until an accepted step
+        # leaves the weights bit-identical, and that ends the run cleanly.
+        train = tmp_path / "train.csv"
+        code, _, _ = run_cli(
+            capsys,
+            [
+                "gen-data", "--n", "200", "--d", "5", "--rank", "3", "--test-n", "50",
+                "--out-train", str(train), "--out-test", str(tmp_path / "test.csv"),
+            ],
+        )
+        assert code == 0
+        code, lines, _ = run_cli(
+            capsys,
+            [
+                "train", "--data", str(train), "--out", str(tmp_path / "m.json"),
+                "--grad-tol", "0", "--f-tol", "0",
+            ],
+        )
+        assert code == 0
+        assert lines[-1]["termination"] == "no_progress"
+        assert lines[-1]["oracle_calls"] < 500
+
     def test_nonfinite_losses_exit_solver_error(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         data = tmp_path / "huge.csv"
@@ -511,6 +534,20 @@ class TestExperiment:
         assert multiprocessing.active_children() == []
         monkeypatch.undo()
         self._assert_csvs_match_gen_data(tmp_path, capsys)
+
+    def test_no_progress_stop_exits_zero(self, tmp_path, capsys, monkeypatch):
+        def stall(oracle, config):
+            return SolverResult(
+                solution=np.zeros(config.initial_point.size),
+                objective_trace=np.array([1.0]),
+                termination=Termination.NO_PROGRESS,
+                oracle_calls=2,
+            )
+
+        monkeypatch.setattr(tailopt.cli, "run_solver", stall)
+        code, lines, _ = self._experiment(tmp_path, capsys)
+        assert code == 0
+        assert len(lines[-1]["rows"]) == 4
 
     def test_singular_erm_exits_solver_error(self, tmp_path, capsys):
         code, lines, err = run_cli(

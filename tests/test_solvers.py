@@ -330,7 +330,8 @@ class TestGradientDescent:
         assert r.oracle_calls == len(r.objective_trace) == 2
 
     def test_line_search_failure_on_adversarial_oracle(self):
-        # The reported gradient points away from descent: no halving helps.
+        # The reported gradient points away from descent: no trial step helps,
+        # and the search gives up after its 51 trials.
         oracle = lambda w: (float(w[0]), np.array([-1.0]))
         cfg = SolverConfig(
             algorithm="gradient_descent",
@@ -342,6 +343,7 @@ class TestGradientDescent:
         )
         r = run_solver(oracle, cfg)
         assert r.termination is Termination.LINE_SEARCH_FAILURE
+        assert r.oracle_calls == 1 + 51
 
     def test_f_tol_stall_detection(self):
         oracle, _, _ = quadratic_oracle(np.eye(1), np.zeros(1))
@@ -521,6 +523,110 @@ class TestLbfgs:
             ),
         )
         assert r.termination is Termination.LINE_SEARCH_FAILURE
+        assert r.oracle_calls == 1 + 51  # no memory yet, so no steepest-descent retry
+
+    def test_tail_toys_take_few_calls_and_never_spin(self):
+        # Backtracking by halving took 33,895 calls on these 30 runs, three of
+        # which repeated a step that left x unchanged until max_iters.
+        calls = 0
+        for seed in range(30):
+            _, _, smooth = tail_toy(seed)
+            r = run_solver(
+                smooth, SolverConfig(
+                    algorithm="lbfgs", max_iters=500, grad_tol=1e-8, f_tol=0.0,
+                    initial_point=np.zeros(5),
+                )
+            )
+            assert r.termination in (Termination.GRAD_TOL, Termination.NO_PROGRESS)
+            calls += r.oracle_calls
+        assert calls <= 4000
+
+
+def ray_oracle(value_at):
+    """Recorded 1-D oracle with value ``value_at(w)`` and gradient -1 everywhere.
+
+    From x = 0, gradient descent searches along d = +1 with slope -1, so each
+    trial point equals its trial step.
+    """
+    return RecordingOracle(lambda w: (value_at(float(w[0])), np.array([-1.0])))
+
+
+def descend_once(oracle):
+    """One gradient-descent step from x = 0 with trial step 1."""
+    run_solver(
+        oracle,
+        SolverConfig(
+            algorithm="gradient_descent", max_iters=2, grad_tol=0.0, f_tol=0.0,
+            step_size=1.0, initial_point=np.zeros(1),
+        ),
+    )
+
+
+class TestLineSearch:
+    @pytest.mark.parametrize("algo", ["gradient_descent", "lbfgs"])
+    def test_quadratic_accepts_the_interpolated_minimiser(self, algo):
+        # f = 2 x^2 from x = 1: the unit step along -g = -4 lands on -3 and is
+        # rejected; the quadratic through f(0) = 2, slope -16 and f(1) = 18 is
+        # f itself, so the second trial is its minimiser t = 1/4, x = 0.
+        rec = RecordingOracle(lambda w: (2.0 * float(w @ w), 4.0 * w))
+        r = run_solver(
+            rec,
+            SolverConfig(
+                algorithm=algo, max_iters=10, step_size=1.0, initial_point=np.array([1.0])
+            ),
+        )
+        assert [float(x[0]) for x in rec.points] == [1.0, -3.0, 0.0]
+        assert r.termination is Termination.GRAD_TOL
+        assert r.oracle_calls == 3
+
+    def test_huge_value_clips_to_a_tenth(self):
+        rec = ray_oracle(lambda t: -t if t <= 2e-3 else 1e300)
+        descend_once(rec)
+        assert [float(x[0]) for x in rec.points] == pytest.approx([0.0, 1.0, 0.1, 0.01, 0.001])
+
+    def test_barely_rejected_value_clips_to_a_half(self):
+        # Just above the Armijo line the quadratic's minimiser lies a little
+        # past t / 2.
+        rec = ray_oracle(lambda t: -t if t <= 0.2 else -0.99e-4 * t)
+        descend_once(rec)
+        assert [float(x[0]) for x in rec.points] == [0.0, 1.0, 0.5, 0.25, 0.125]
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_value_halves(self, bad):
+        rec = ray_oracle(lambda t: -t if t <= 0.3 else bad)
+        descend_once(rec)
+        assert [float(x[0]) for x in rec.points] == [0.0, 1.0, 0.5, 0.25]
+
+    @pytest.mark.parametrize("algo", ["gradient_descent", "lbfgs"])
+    def test_step_that_leaves_x_unchanged_stops_the_run(self, algo):
+        # At x = 1 the step 1e-20 rounds away, so the accepted trial is x again.
+        rec = RecordingOracle(lambda w: (1.0 + 1e-20 * float(w[0]), np.array([1e-20])))
+        r = run_solver(
+            rec,
+            SolverConfig(
+                algorithm=algo, max_iters=50, grad_tol=0.0, f_tol=0.0, step_size=1.0,
+                initial_point=np.array([1.0]),
+            ),
+        )
+        assert r.termination is Termination.NO_PROGRESS
+        assert r.oracle_calls == 2
+        assert list(r.objective_trace) == [1.0]
+        assert np.array_equal(r.solution, [1.0])
+
+    @pytest.mark.parametrize("algo", ["gradient_descent", "lbfgs"])
+    def test_step_that_moves_x_but_ties_f_goes_on(self, algo):
+        # At x = 0 the same step moves x while f stays 1.0 to the last bit.
+        rec = RecordingOracle(lambda w: (1.0 + 1e-20 * float(w[0]), np.array([1e-20])))
+        r = run_solver(
+            rec,
+            SolverConfig(
+                algorithm=algo, max_iters=5, grad_tol=0.0, f_tol=0.0, step_size=1.0,
+                initial_point=np.array([0.0]),
+            ),
+        )
+        assert r.termination is Termination.MAX_ITERS
+        assert list(r.objective_trace) == [1.0] * 5
+        assert len({float(x[0]) for x in rec.points}) == 5
 
 
 def last_argmin(trace: np.ndarray) -> int:
