@@ -4,8 +4,8 @@ Scriptability contract: machine-readable output is line-delimited JSON on
 stdout only; human-readable diagnostics go to stderr.  Exit codes: 0 success,
 2 flag or validation errors, 3 I/O errors, 4 solver failure (a singular ERM
 system, from collinear features, among them).  ``experiment`` writes its data
-CSVs from a forked child that overlaps the fits, since their %.17g formatting
-costs about as much, and joins it before the results.
+CSVs from a child made by ``os.fork`` that overlaps the fits, since their %.17g
+formatting costs about as much, and waits for it before the results.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import argparse
 import contextlib
 import csv
 import json
-import multiprocessing
+import os
 import re
 import sys
 from pathlib import Path
@@ -303,49 +303,46 @@ def cmd_eval(args) -> int:
 @contextlib.contextmanager
 def _csvs_written_in_child(jobs, target_column: str):
     """Write each ``(dataset, path)`` job as :func:`save_csv` does, in a forked
-    child that runs alongside the ``with`` body and is joined when it ends.
+    child that runs alongside the ``with`` body and is waited for when it ends.
 
     The files are opened first, so a bad path raises before the body runs,
-    and the datasets reach the child through the fork, unpickled.  After a
-    body that did not raise, the child's ``OSError`` is raised, or one
-    naming the files and the exit code if the child ended without reporting.
+    and the datasets reach the child through the fork, unpickled.  The child
+    leaves through ``os._exit``, so it runs none of the parent's code and
+    flushes none of its buffers.  After a body that did not raise, the
+    child's ``OSError`` is raised again from its message, and any other
+    failure as one naming the files and the child's exit code.
     """
-    context = multiprocessing.get_context("fork")
     with contextlib.ExitStack() as files:
         handles = [files.enter_context(open(path, "w", newline="")) for _, path in jobs]
-        reader, writer = context.Pipe(duplex=False)
-
-        def write():
+        reader, writer = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(reader)
+            os.close(writer)
+            raise
+        if pid == 0:
             try:
                 for (data, _), fh in zip(jobs, handles):
                     with fh:
                         dataio._write_csv(data, fh, target_column)
+                os._exit(0)
             except OSError as exc:
-                writer.send(exc)
-            else:
-                writer.send(None)
-
-        # The child flushes the standard streams as it exits, so output still
-        # buffered here would be printed twice.
-        sys.stdout.flush()
-        sys.stderr.flush()
-        child = context.Process(target=write)
-        child.start()
-        writer.close()
+                os.write(writer, os.fsencode(str(exc)))
+            finally:
+                os._exit(1)
+        os.close(writer)
     try:
         yield
     finally:
-        with reader:
-            try:
-                report = reader.recv()
-            except EOFError as exc:  # the child ended without reporting
-                report = exc
-        child.join()
-    if isinstance(report, OSError):
-        raise report
-    if report is not None or child.exitcode:
+        with open(reader, "rb") as pipe:
+            message = os.fsdecode(pipe.read())
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if message:
+        raise OSError(message)
+    if code:
         names = " and ".join(str(path) for _, path in jobs)
-        raise OSError(f"writing {names}: writer process exited with code {child.exitcode}")
+        raise OSError(f"writing {names}: writer process exited with code {code}")
 
 
 def cmd_experiment(args) -> int:
@@ -353,8 +350,8 @@ def cmd_experiment(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # Formatting the CSVs as %.17g text costs about as much as the fits, so a
-    # forked child writes them while the fits run, and is joined before the
-    # results are written.  The files hold these values exactly (%.17g
+    # forked child writes them while the fits run, and is waited for before
+    # the results are written.  The files hold these values exactly (%.17g
     # round-trips float64), so the fits use the generated sets rather than
     # reading the files back.
     jobs = [(train, out_dir / "train.csv"), (test, out_dir / "test.csv")]

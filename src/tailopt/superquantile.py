@@ -51,6 +51,9 @@ class ExactOracleOutput:
     support: np.ndarray | None
 
 
+_NONFINITE = "losses contain non-finite entries"
+
+
 def _as_loss_vector(losses) -> np.ndarray:
     L = np.asarray(losses, dtype=float)
     if L.ndim != 1 or L.size == 0:
@@ -82,6 +85,8 @@ def superquantile(losses, p: float) -> float:
     L = _as_loss_vector(losses)
     if not 0.0 <= p < 1.0:
         raise ValueError(f"superquantile level must lie in [0, 1), got {p}")
+    if not np.isfinite(L).all():
+        raise ValueError(_NONFINITE)
     if p == 0.0:
         return float(L.mean())
     q = quantile(L, p)
@@ -100,7 +105,7 @@ def exact_subgradient_weights(losses, p: float) -> ExactOracleOutput:
 
     One scan finds the samples at or above the quantile; they are the support,
     less the tied ones when the leftover mass is zero, and the oracle hands it
-    to the gradient with the weights.
+    to the gradient with the weights.  Non-finite losses raise ``ValueError``.
     """
     L = _as_loss_vector(losses)
     n = L.size
@@ -108,6 +113,8 @@ def exact_subgradient_weights(losses, p: float) -> ExactOracleOutput:
         raise ValueError(f"tail level must lie in [0, 1), got {p}")
     cap = 1.0 / (n * (1.0 - p))
     qv = quantile(L, p)
+    if math.isnan(qv):  # only a NaN loss gives a NaN quantile, and no sample ties it
+        raise ValueError(_NONFINITE)
     S = np.flatnonzero(L >= qv)
     above = L[S] > qv
     n_above = int(np.count_nonzero(above))
@@ -119,8 +126,13 @@ def exact_subgradient_weights(losses, p: float) -> ExactOracleOutput:
     weights[S] = np.where(above, cap, cap * alpha)
     if alpha == 0.0:
         S = S[above]
+    value = float(weights @ L)
+    # A non-finite loss makes the dot non-finite, whatever its weight (0 * inf
+    # is NaN), so L is scanned only then.
+    if not math.isfinite(value) and not np.isfinite(L).all():
+        raise ValueError(_NONFINITE)
     return ExactOracleOutput(
-        value=float(weights @ L),
+        value=value,
         weights=weights,
         quantile=qv,
         tie_set_size=n_tied,

@@ -1,6 +1,5 @@
 import errno
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -42,6 +41,12 @@ def run_python(*args):
 def run_module(argv):
     """Run ``python -m tailopt.cli`` with the package under test importable."""
     return run_python("-m", "tailopt.cli", *argv)
+
+
+def assert_no_unreaped_child():
+    """Every child this process has forked has been waited for."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def write_consistent_csv(tmp_path, seed=0, n=60, d=4, name="data.csv"):
@@ -461,7 +466,7 @@ class TestExperiment:
         )
         assert code == 0
         assert len(lines[-1]["rows"]) == 4
-        assert multiprocessing.active_children() == []  # the CSV writer was joined
+        assert_no_unreaped_child()  # the CSV writer was waited for
         # The files are still written, byte for byte as gen-data writes them.
         for name in ("train.csv", "test.csv"):
             assert (tmp_path / "exp" / name).read_bytes() == (tmp_path / name).read_bytes()
@@ -492,7 +497,7 @@ class TestExperiment:
         assert "training" not in err
         assert lines == []
         assert not (tmp_path / "exp" / "results.csv").exists()
-        assert multiprocessing.active_children() == []
+        assert_no_unreaped_child()
 
     def test_oserror_in_writer_process_exits_three(self, tmp_path, capsys, monkeypatch):
         def full_disk(data, fh, target_column):
@@ -504,7 +509,7 @@ class TestExperiment:
         assert "No space left on device" in err and "train.csv" in err
         assert lines == []
         assert not (tmp_path / "exp" / "results.csv").exists()
-        assert multiprocessing.active_children() == []
+        assert_no_unreaped_child()
 
     def test_writer_process_that_dies_names_files_and_exit_code(self, tmp_path, capsys, monkeypatch):
         def die(data, fh, target_column):
@@ -520,7 +525,57 @@ class TestExperiment:
         assert "code 9" in message
         assert lines == []
         assert not (tmp_path / "exp" / "results.csv").exists()
-        assert multiprocessing.active_children() == []
+        assert_no_unreaped_child()
+
+    def test_writer_error_other_than_oserror_names_files_and_exit_code(self, tmp_path):
+        # The CLI runs as a module in a fresh interpreter, so a child that ran
+        # on into the parent's code would print its lines a second time.
+        script = (
+            "import runpy, tailopt.dataio\n"
+            "def fail(data, fh, target_column):\n"
+            "    raise RuntimeError('not an OSError')\n"
+            "tailopt.dataio._write_csv = fail\n"
+            "runpy.run_module('tailopt.cli', run_name='__main__', alter_sys=True)\n"
+        )
+        out = tmp_path / "exp"
+        run = run_python(
+            "-c", script, "experiment", *self.FLAGS, "--max-iters", "30", "--out-dir", str(out)
+        )
+        assert run.returncode == 3
+        assert run.stdout == ""
+        message = run.stderr.splitlines()[-1]
+        assert message == (
+            f"error: writing {out / 'train.csv'} and {out / 'test.csv'}: "
+            "writer process exited with code 1"
+        )
+        for name in ("erm", "p0.5", "p0.7", "p0.9"):
+            assert run.stderr.splitlines().count(f"training {name} ...") == 1
+        assert not (out / "results.csv").exists()
+
+    def test_failed_fork_exits_three_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        pipes = []
+        pipe = os.pipe
+
+        def recording_pipe():
+            pipes.extend(pipe())
+            return pipes[-2], pipes[-1]
+
+        def refuse():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "pipe", recording_pipe)
+        monkeypatch.setattr(os, "fork", refuse)
+        code, lines, err = self._experiment(tmp_path, capsys)
+        assert code == 3
+        assert err == f"error: [Errno {errno.EAGAIN}] Resource temporarily unavailable\n"
+        assert lines == []
+        assert not (tmp_path / "exp" / "results.csv").exists()
+        assert len(pipes) == 2
+        for fd in pipes:  # both ends of the pipe were closed
+            with pytest.raises(OSError) as closed:
+                os.fstat(fd)
+            assert closed.value.errno == errno.EBADF
+        assert_no_unreaped_child()
 
     def test_solver_error_waits_for_complete_files(self, tmp_path, capsys, monkeypatch):
         def fail(oracle, config):
@@ -531,7 +586,7 @@ class TestExperiment:
         assert code == 4
         assert "non-finite loss at sample 0" in err
         assert lines == []
-        assert multiprocessing.active_children() == []
+        assert_no_unreaped_child()
         monkeypatch.undo()
         self._assert_csvs_match_gen_data(tmp_path, capsys)
 
@@ -563,7 +618,7 @@ class TestExperiment:
             "error: normal equations are singular: the features are collinear"
         )
         assert not (tmp_path / "exp" / "results.csv").exists()
-        assert multiprocessing.active_children() == []
+        assert_no_unreaped_child()
 
     def test_fits_use_solver_config_defaults(self, tmp_path, capsys, monkeypatch):
         configs = []
@@ -863,12 +918,14 @@ def test_main_leaves_numpy_error_state_unchanged(tmp_path, capsys):
 
 
 class TestScriptability:
-    def test_cli_import_loads_no_scipy(self):
-        # numpy is the only runtime dependency; scipy is for the tests alone.
+    # numpy is the only runtime dependency; scipy is for the tests alone, and
+    # the experiment's CSV writer is a bare os.fork child.
+    @pytest.mark.parametrize("package", ["scipy", "multiprocessing"])
+    def test_cli_import_loads_no_module(self, package):
         run = run_python(
             "-c",
             "import sys, tailopt.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))",
         )
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == "[]"

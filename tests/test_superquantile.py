@@ -89,6 +89,14 @@ class TestSuperquantile:
         with pytest.raises(ValueError):
             superquantile([1.0, 2.0], 1.0)
 
+    @pytest.mark.parametrize("position", [0, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_loss_rejected(self, bad, position):
+        L = np.array([1.0, 2.0, 3.0, 4.0])
+        L[position] = bad
+        with pytest.raises(ValueError, match="losses contain non-finite entries"):
+            superquantile(L, 0.5)
+
     def test_matches_quantile_integration(self):
         rng = np.random.default_rng(4)
         for _ in range(300):
@@ -144,6 +152,22 @@ class TestExactSubgradientWeights:
             out = exact_subgradient_weights([7.0] * 5, p)
             assert np.allclose(out.weights, 0.2)
             assert out.tie_set_size == 5
+
+    # In the four-point example at p = 0.5, position 0 has weight 0 and
+    # position 3 the cap.  0 * -inf warns in the dot before the error.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("position", [0, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_loss_rejected(self, bad, position):
+        L = np.array([1.0, 2.0, 3.0, 4.0])
+        L[position] = bad
+        with pytest.raises(ValueError, match="losses contain non-finite entries"):
+            exact_subgradient_weights(L, 0.5)
+
+    @pytest.mark.parametrize("losses, p", [([np.nan, 1.0, 2.0], 0.0), ([np.nan] * 3 + [1.0], 0.5)])
+    def test_nan_quantile_rejected(self, losses, p):
+        with pytest.raises(ValueError, match="losses contain non-finite entries"):
+            exact_subgradient_weights(losses, p)
 
     def test_p_zero_gives_uniform(self):
         out = exact_subgradient_weights([1.0, 5.0, 2.0], 0.0)
