@@ -156,6 +156,17 @@ def _losses(loss: MarginLoss, data: Dataset, z: np.ndarray) -> np.ndarray:
     return values
 
 
+_NONFINITE = "losses contain non-finite entries"
+
+
+def _as_loss_vector(losses) -> np.ndarray:
+    """``losses`` as a float vector; anything but a nonempty 1-D one is rejected."""
+    L = np.asarray(losses, dtype=float)
+    if L.ndim != 1 or L.size == 0:
+        raise ValueError(f"losses must be a nonempty 1-D vector, got shape {L.shape}")
+    return L
+
+
 def _support(q: np.ndarray) -> np.ndarray | None:
     """Ascending indices of the nonzero entries of ``q``, or None when all are."""
     return None if q.all() else np.flatnonzero(q)

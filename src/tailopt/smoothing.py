@@ -21,13 +21,14 @@ Two penalties are supported:
 * Entropic, d(q) = log(n) + sum_i q_i log q_i.  The maximizer is the capped
   softmax q_i = min(cap, c * exp(L_i / mu)); the number of capped coordinates
   is the first count k, in a descending scan, whose uncapped remainder fits
-  under the cap.  The scan compares the log tail sums of the sorted scaled
-  losses against a cached grid of log(1 - k*cap).  Those sums come from one
-  cumulative sum of exponentials shifted by the largest entry when the
-  candidates span at most 700 in L/mu, as in ordinary fits, and from a
-  logaddexp recurrence otherwise.  The uncapped block is normalized with
-  exponents shifted by its largest entry, so no loss-to-mu ratio overflows or
-  moves the weights off the simplex.
+  under the cap.  The test needs only the ratio of each tail sum of the
+  sorted scaled exponentials to its largest term, and the step keeps no
+  state between calls.  The ratios come from one cumulative sum of
+  exponentials shifted by the largest entry when the candidates span at most
+  700 in L/mu, as in ordinary fits, and from a logaddexp recurrence
+  otherwise.  The uncapped block is normalized with exponents shifted by its
+  largest entry, so no loss-to-mu ratio overflows or moves the weights off
+  the simplex.
 
 Neither routine sorts all n losses; each sorts a candidate set found by one
 O(n) partition, with cap = 1/(n(1-p)) and r = ceil(1/cap) <= n:
@@ -43,11 +44,11 @@ O(n) partition, with cap = 1/(n(1-p)) and r = ceil(1/cap) <= n:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .core import Dataset, EvaluationError, MarginLoss, Penalty, RiskParams, _oracle, _support
+from .core import _NONFINITE, Dataset, EvaluationError, MarginLoss, Penalty, RiskParams
+from .core import _as_loss_vector, _oracle, _support
 # The oracle's layer functions, kept as attributes of this module: the
 # benchmark's traced runs rebind them here (bench/workloads.py).
 from .core import batch_losses, jacobian_transpose_apply  # noqa: F401
@@ -59,7 +60,7 @@ __all__ = [
     "smoothed_weights_euclidean",
 ]
 
-# Widest span of the entropic tail-sum block, in L/mu, that the shifted
+# Widest span of the entropic tail-ratio block, in L/mu, that the shifted
 # cumulative sum handles: exp(-700) ~ 1e-304 is still a normal float.
 _EXP_SPAN = 700.0
 
@@ -84,11 +85,9 @@ class SmoothedOracleOutput:
 
 
 def _validate(losses, p: float, mu: float) -> np.ndarray:
-    L = np.asarray(losses, dtype=float)
-    if L.ndim != 1 or L.size == 0:
-        raise ValueError(f"losses must be a nonempty 1-D vector, got shape {L.shape}")
+    L = _as_loss_vector(losses)
     if not np.isfinite(L).all():
-        raise ValueError("losses contain non-finite entries")
+        raise ValueError(_NONFINITE)
     if not 0.0 <= p < 1.0:
         raise ValueError(f"tail level must lie in [0, 1), got {p}")
     if not mu > 0.0:
@@ -185,41 +184,31 @@ def smoothed_weights_euclidean(losses, p: float, mu: float) -> SmoothedOracleOut
     )
 
 
-@lru_cache(maxsize=4)
-def _log_rem(K: int, cap: float) -> np.ndarray:
-    """log(1 - k*cap) for k = 0..K-1, +inf where no mass is left; read-only.
-
-    The grid depends only on n and p, so a fit builds it once instead of once
-    per call; ``experiment`` fits three tail levels, hence four entries.
-    """
-    rem = 1.0 - np.arange(K) * cap  # mass left for the uncapped block when k are capped
-    valid = rem > 0.0
-    log_rem = np.log(np.where(valid, rem, 1.0))
-    log_rem[~valid] = np.inf  # fails the feasibility test below
-    log_rem.flags.writeable = False
-    return log_rem
-
-
-def _tail_sums(ascending: np.ndarray) -> np.ndarray:
-    """T[k] = log sum_{i >= k} exp(ss[i]), plus the rest, for ss = ascending[:0:-1].
+def _tail_ratios(ascending: np.ndarray) -> np.ndarray:
+    """R[i - 1] = sum_{j <= i} exp(ascending[j] - ascending[i]) for i = 1..K; R >= 1.
 
     ``ascending`` holds the log-sum-exp of the rest (-inf when there is none)
-    and then the K largest scaled losses in ascending order.  While they span
-    at most _EXP_SPAN, every exp(a - a_max) is a normal float, so one
-    cumulative sum, shifted by the largest entry, gives every tail sum.  A
-    wider block keeps the log domain, where each logaddexp step shifts by its
-    larger operand and no spread of L/mu underflows.
+    and then the K largest scaled losses in ascending order, so R[i - 1] is
+    the tail sum from ascending[i] down, the rest included, over its largest
+    term.  While they span at most _EXP_SPAN, every exp(a - a_max) is a
+    normal float, so one cumulative sum, shifted by the largest entry, gives
+    every ratio.  A wider block keeps the log domain, where each logaddexp
+    step shifts by its larger operand and no spread of L/mu underflows; a log
+    ratio past _EXP_SPAN is clipped, since the count passes the cap test at
+    any ratio that large.
     """
     a_max = ascending[-1]
     low = ascending[1] if ascending[0] == -np.inf else min(ascending[0], ascending[1])
     if a_max - low > _EXP_SPAN:
-        return np.logaddexp.accumulate(ascending)[:0:-1]
-    T = np.subtract(ascending, a_max)
-    np.exp(T, out=T)
-    T = np.cumsum(T, out=T)[1:]  # the rest alone is no tail sum
-    np.log(T, out=T)
-    T += a_max
-    return T[::-1]
+        R = np.logaddexp.accumulate(ascending)[1:]
+        R -= ascending[1:]
+        np.minimum(R, _EXP_SPAN, out=R)
+        return np.exp(R, out=R)
+    E = np.subtract(ascending, a_max)
+    np.exp(E, out=E)
+    R = np.cumsum(E)[1:]  # the rest alone is no tail sum
+    R /= E[1:]
+    return R
 
 
 def smoothed_weights_entropic(losses, p: float, mu: float) -> SmoothedOracleOutput:
@@ -245,32 +234,28 @@ def smoothed_weights_entropic(losses, p: float, mu: float) -> SmoothedOracleOutp
     else:
         log_rest = -np.inf
     ascending = np.concatenate(([log_rest], np.sort(part[n - K :])))
-    ss = ascending[:0:-1]  # the K largest, descending
-    T = _tail_sums(ascending)
-    log_rem = _log_rem(K, cap)
-    log_cap = np.log(cap)
-    # Count k is feasible when the largest uncapped weight,
-    # exp(log_rem[k] - (T[k] - ss[k])), stays under the cap; log_rem is +inf
-    # where k*cap leaves no mass.  The tolerance absorbs rounding of 1 - k*cap
-    # near the critical count, where the exact margin is zero; accepted
-    # overshoot is clipped below.
-    # T - ss is formed first: adding log_rem - T to ss instead would combine
-    # two numbers of size |L/mu| and lose the margin to rounding once |L/mu|
-    # reaches about 1e10.
-    margin = T - ss
-    np.subtract(log_rem, margin, out=margin)
-    feasible = margin <= log_cap + 1e-9
-    kstar = int(np.argmax(feasible))
-    if not feasible[kstar]:
+    R = _tail_ratios(ascending)
+    # Capping the k largest (k = K - 1 - i at ascending position i) leaves
+    # mass 1 - k*cap for the uncapped block, whose largest weight is that mass
+    # over R[i]; count k is feasible when it stays under the cap.  The
+    # tolerance, relative to R, absorbs rounding of 1 - k*cap near the
+    # critical count, where the exact margin is zero; accepted overshoot is
+    # clipped below.  R >= 1, so a count below 1/cap always passes, and no
+    # count that leaves no mass is reached.  A NaN ratio passes nowhere.
+    feasible = R * (1.0 + 1e-9) + np.arange(K - 1, -1, -1) >= 1.0 / cap
+    kstar = int(np.argmax(feasible[::-1]))
+    i = K - 1 - kstar
+    if not feasible[i]:
         raise _out_of_range("entropic cap count not found", L, mu)
+    s_max = ascending[1 + i]
 
     # The uncapped block gets mass * exp(d_i) / Z with d_i = s_i - s_max, where
-    # s_max = ss[kstar] is its largest entry and Z = sum_j exp(d_j): every
-    # exponent is <= 0, and the block sums to its mass up to rounding whatever
-    # the size of L/mu.  Its entropy follows from log q_i = log(mass / Z) + d_i.
+    # s_max is its largest entry and Z = sum_j exp(d_j): every exponent is
+    # <= 0, and the block sums to its mass up to rounding whatever the size of
+    # L/mu.  Its entropy follows from log q_i = log(mass / Z) + d_i.
     # Entries tied with s_max stay in the block; they sit at the cap within
     # the scan's tolerance either way.
-    d = np.subtract(s, ss[kstar], out=s)
+    d = np.subtract(s, s_max, out=s)
     uncapped = d <= 0.0
     e = np.minimum(d, 0.0)
     np.exp(e, out=e)
@@ -284,9 +269,9 @@ def smoothed_weights_entropic(losses, p: float, mu: float) -> SmoothedOracleOutp
     # costs the same at any cap count, where a mask assignment slows down as
     # the count grows.
     np.maximum(q, cap * ~uncapped, out=q)
-    plogq = n_capped * cap * log_cap + mass * np.log(mass / Z) + (mass / Z) * float(e @ d)
+    plogq = n_capped * cap * np.log(cap) + mass * np.log(mass / Z) + (mass / Z) * float(e @ d)
     penalty = max(float(np.log(n) + plogq), 0.0)
-    lam = float(-mu * (log_rem[kstar] - T[kstar] + 1.0))
+    lam = float(-mu * (np.log(1.0 - kstar * cap) - np.log(R[i]) - s_max + 1.0))
     return SmoothedOracleOutput(
         value=float(q @ L - mu * penalty),
         weights=q,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, MarginLoss, _oracle
+from .core import _NONFINITE, Dataset, MarginLoss, _as_loss_vector, _oracle
 
 __all__ = [
     "ExactOracleOutput",
@@ -51,25 +51,22 @@ class ExactOracleOutput:
     support: np.ndarray | None
 
 
-_NONFINITE = "losses contain non-finite entries"
-
-
-def _as_loss_vector(losses) -> np.ndarray:
-    L = np.asarray(losses, dtype=float)
-    if L.ndim != 1 or L.size == 0:
-        raise ValueError(f"losses must be a nonempty 1-D vector, got shape {L.shape}")
-    return L
-
-
 def quantile(losses, p: float) -> float:
     """Empirical p-quantile: smallest x with CDF(x) >= p.
 
     For p = 0 this is the minimum; otherwise the ceil(n*p)-th order statistic.
-    No interpolation is performed.
+    No interpolation is performed.  Non-finite losses raise ``ValueError``.
     """
     L = _as_loss_vector(losses)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"quantile level must lie in [0, 1], got {p}")
+    if not np.isfinite(L).all():
+        raise ValueError(_NONFINITE)
+    return _order_statistic(L, p)
+
+
+def _order_statistic(L: np.ndarray, p: float) -> float:
+    # The empirical p-quantile of a checked loss vector; NaN sorts last.
     if p == 0.0:
         return float(L.min())
     k = min(int(math.ceil(L.size * p)), L.size)
@@ -89,7 +86,7 @@ def superquantile(losses, p: float) -> float:
         raise ValueError(_NONFINITE)
     if p == 0.0:
         return float(L.mean())
-    q = quantile(L, p)
+    q = _order_statistic(L, p)
     cap = 1.0 / (L.size * (1.0 - p))
     return float(q + cap * np.sum(np.maximum(L - q, 0.0)))
 
@@ -112,7 +109,7 @@ def exact_subgradient_weights(losses, p: float) -> ExactOracleOutput:
     if not 0.0 <= p < 1.0:
         raise ValueError(f"tail level must lie in [0, 1), got {p}")
     cap = 1.0 / (n * (1.0 - p))
-    qv = quantile(L, p)
+    qv = _order_statistic(L, p)
     if math.isnan(qv):  # only a NaN loss gives a NaN quantile, and no sample ties it
         raise ValueError(_NONFINITE)
     S = np.flatnonzero(L >= qv)
@@ -126,9 +123,10 @@ def exact_subgradient_weights(losses, p: float) -> ExactOracleOutput:
     weights[S] = np.where(above, cap, cap * alpha)
     if alpha == 0.0:
         S = S[above]
-    value = float(weights @ L)
     # A non-finite loss makes the dot non-finite, whatever its weight (0 * inf
-    # is NaN), so L is scanned only then.
+    # is NaN, which numpy would warn about), so L is scanned only then.
+    with np.errstate(invalid="ignore"):
+        value = float(weights @ L)
     if not math.isfinite(value) and not np.isfinite(L).all():
         raise ValueError(_NONFINITE)
     return ExactOracleOutput(

@@ -250,10 +250,10 @@ class TestTrain:
         assert "loss-to-mu ratio" in err
 
     def test_lost_entropic_cap_count_exits_solver_error(self, tmp_path, capsys, monkeypatch):
-        # NaN tail sums leave no cap count feasible, as rounding could at an
+        # NaN tail ratios leave no cap count feasible, as rounding could at an
         # extreme loss-to-mu ratio.
         monkeypatch.setattr(
-            tailopt.smoothing, "_tail_sums", lambda ascending: np.full(ascending.size - 1, np.nan)
+            tailopt.smoothing, "_tail_ratios", lambda ascending: np.full(ascending.size - 1, np.nan)
         )
         data, _ = write_consistent_csv(tmp_path)
         code, lines, err = run_cli(

@@ -20,6 +20,18 @@ class TestDataset:
         ds = Dataset(np.ones((3, 2)), np.arange(3.0))
         assert (ds.n, ds.d) == (3, 2)
 
+    @pytest.mark.parametrize(
+        "features, targets, message",
+        [
+            (np.ones(3), np.zeros(3), "features must be 2-D"),
+            (np.ones((3, 2, 1)), np.zeros(3), "features must be 2-D"),
+            (np.ones((3, 2)), np.zeros((3, 1)), "targets must be 1-D"),
+        ],
+    )
+    def test_wrong_dimensions_rejected(self, features, targets, message):
+        with pytest.raises(ValueError, match=message):
+            Dataset(features, targets)
+
     def test_row_mismatch_rejected(self):
         with pytest.raises(ValueError, match="rows"):
             Dataset(np.ones((3, 2)), np.arange(4.0))
@@ -132,6 +144,12 @@ class TestBatchLosses:
 
 
 class TestJacobianTransposeApply:
+    @pytest.mark.parametrize("q", [np.full(5, 0.2), np.full((6, 1), 1.0 / 6)])
+    def test_wrong_weight_shape_rejected(self, q):
+        ds = random_lsq_dataset(3, n=6, d=4)
+        with pytest.raises(ValueError, match=r"expected \(6,\)"):
+            jacobian_transpose_apply(LinearLeastSquares(), ds, np.zeros(4), q)
+
     def test_unit_weight_selects_one_gradient(self):
         ds = random_lsq_dataset(3, n=6, d=4)
         loss = LinearLeastSquares()

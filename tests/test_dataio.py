@@ -48,6 +48,10 @@ class TestGenerateLowRank:
         with pytest.raises(ValueError):
             generate_low_rank(10, 4, 5, seed=0)
 
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            generate_low_rank(0, 4, 2, seed=0)
+
     def test_shape(self):
         assert generate_low_rank(12, 3, 2, seed=0).shape == (12, 3)
 
@@ -80,6 +84,11 @@ class TestGenerateTargets:
         w_bar = resolve_w_bar(spec, seed=2)
         y = generate_targets(X, w_bar, spec, seed=3)
         assert np.array_equal(y - X @ w_bar, np.full(50, 10.0))
+
+    def test_width_mismatch_rejected(self):
+        spec = SyntheticSpec(n=5, d=3, effective_rank=2)
+        with pytest.raises(ValueError, match="3 columns but w_bar has length 4"):
+            generate_targets(np.ones((5, 3)), np.ones(4), spec, seed=0)
 
     def test_seed_determinism(self):
         spec = SyntheticSpec(n=100, d=3, effective_rank=2, seed=5)
@@ -134,6 +143,12 @@ class TestCsvRoundTrip:
         with pytest.raises(NonNumericCellError, match="row 7") as err:
             load_csv(path)
         assert err.value.row == 7
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "nothing.csv"
+        path.write_text("")
+        with pytest.raises(EmptyDatasetError, match="no header row"):
+            load_csv(path)
 
     def test_header_only_file(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -286,6 +301,17 @@ class TestSyntheticSpecValidation:
     def test_probability_bounds(self):
         with pytest.raises(ValueError):
             SyntheticSpec(n=10, d=4, effective_rank=2, bernoulli_p=1.5)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"n": 0}, "need n >= 1"),
+            ({"laplace_scale": -1.0}, "laplace_scale must be nonnegative"),
+        ],
+    )
+    def test_size_and_scale_bounds(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            SyntheticSpec(**{"n": 10, "d": 4, "effective_rank": 2, **fields})
 
     def test_full_pipeline_reproducible(self):
         def run(seed):

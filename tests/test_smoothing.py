@@ -212,6 +212,27 @@ class TestThetaPrime:
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
+class TestLossVectorChecks:
+    """Both weight routines reject what is not a finite nonempty loss vector."""
+
+    @pytest.mark.parametrize("weights", [smoothed_weights_euclidean, smoothed_weights_entropic])
+    @pytest.mark.parametrize("losses", [[], [[1.0, 2.0]], 3.0])
+    def test_bad_shape_rejected(self, weights, losses):
+        with pytest.raises(ValueError, match="losses must be a nonempty 1-D vector"):
+            weights(losses, 0.5, 1.0)
+
+    @pytest.mark.parametrize("weights", [smoothed_weights_euclidean, smoothed_weights_entropic])
+    @pytest.mark.parametrize("position", [0, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_loss_rejected(self, weights, bad, position):
+        L = np.array([1.0, 2.0, 3.0, 4.0])
+        L[position] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="losses contain non-finite entries"):
+                weights(L, 0.5, 1.0)
+
+
 class TestEntropicSubroutine:
     def test_equal_losses_give_uniform(self):
         for p in [0.0, 0.4, 0.9]:
@@ -383,17 +404,16 @@ class TestEntropicScanReference:
 
     def test_lost_cap_count_raises_evaluation_error(self, monkeypatch):
         monkeypatch.setattr(
-            tailopt.smoothing, "_tail_sums", lambda ascending: np.full(ascending.size - 1, np.nan)
+            tailopt.smoothing, "_tail_ratios", lambda ascending: np.full(ascending.size - 1, np.nan)
         )
         with pytest.raises(EvaluationError, match="loss-to-mu ratio 5"):
             smoothed_weights_entropic([1.0, 5.0, 2.0, 3.0], 0.5, 1.0)
 
-    def test_log_rem_grid_is_cached_read_only(self):
-        grid = tailopt.smoothing._log_rem(5, 0.25)
-        assert grid is tailopt.smoothing._log_rem(5, 0.25)
-        assert not grid.flags.writeable
-        assert grid[4] == np.inf  # 4 * 0.25 leaves no mass
-        assert np.array_equal(grid[:4], np.log(1.0 - np.arange(4) * 0.25))
+    def test_overflowing_loss_to_mu_ratio_raises_evaluation_error(self):
+        # L/mu overflows to inf, so the tail ratios are NaN and no count passes.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(EvaluationError, match="cap count not found at loss-to-mu ratio inf"):
+                smoothed_weights_entropic([1e300, -1e300, 0.0, 5.0], 0.5, 1e-10)
 
 
 class TestSupport:

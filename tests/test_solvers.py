@@ -64,6 +64,11 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig().start_point()
 
+    @pytest.mark.parametrize("x0", [1.0, np.zeros((2, 2))])
+    def test_start_point_must_be_1d(self, x0):
+        with pytest.raises(ValueError, match="initial_point must be 1-D"):
+            SolverConfig(initial_point=x0).start_point()
+
 
 class TestTuneInitialStep:
     def test_quadratic_picks_largest_decreasing_grid_point(self):

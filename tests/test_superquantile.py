@@ -57,6 +57,14 @@ class TestQuantile:
         with pytest.raises(ValueError):
             quantile([1.0], 1.5)
 
+    # np.partition sorts NaN last and min propagates it, so an unchecked
+    # quantile is NaN at some levels and a finite loss at others.
+    @pytest.mark.parametrize("p", [0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_loss_rejected(self, bad, p):
+        with pytest.raises(ValueError, match="losses contain non-finite entries"):
+            quantile([bad, 1.0, 2.0], p)
+
     def test_matches_cdf_scan(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
@@ -154,8 +162,7 @@ class TestExactSubgradientWeights:
             assert out.tie_set_size == 5
 
     # In the four-point example at p = 0.5, position 0 has weight 0 and
-    # position 3 the cap.  0 * -inf warns in the dot before the error.
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    # position 3 the cap; 0 * -inf in the dot must raise with no warning.
     @pytest.mark.parametrize("position", [0, 3])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_loss_rejected(self, bad, position):
@@ -168,6 +175,11 @@ class TestExactSubgradientWeights:
     def test_nan_quantile_rejected(self, losses, p):
         with pytest.raises(ValueError, match="losses contain non-finite entries"):
             exact_subgradient_weights(losses, p)
+
+    @pytest.mark.parametrize("p", [-0.1, 1.0])
+    def test_bad_p_rejected(self, p):
+        with pytest.raises(ValueError, match="tail level must lie in"):
+            exact_subgradient_weights([1.0, 2.0], p)
 
     def test_p_zero_gives_uniform(self):
         out = exact_subgradient_weights([1.0, 5.0, 2.0], 0.0)
