@@ -438,7 +438,12 @@ def build_parser() -> argparse.ArgumentParser:
     # These three take their defaults from _add_fit_flags.
     p_train.add_argument("--step-size", type=_step_size)
     p_train.add_argument("--grad-tol", type=_nonnegative)
-    p_train.add_argument("--f-tol", type=_nonnegative)
+    p_train.add_argument(
+        "--f-tol",
+        type=_nonnegative,
+        help="stop gradient_descent and lbfgs when the best objective gains at most "
+        "this over 10 iterations; 0 disables it, and the other algorithms ignore it",
+    )
     p_train.add_argument(
         "--no-intercept",
         action="store_true",

@@ -187,7 +187,9 @@ def _gradient(
         X = data.features.take(support, axis=0)
         y, zs, qs = data.targets[support], z[support], q[support]
     slope = np.asarray(loss.slope(zs, y), dtype=float)
-    g = X.T @ (qs * slope)
+    # An overflowing sum raises below, so numpy need not warn of it first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = X.T @ (qs * slope)
     if not np.isfinite(g).all():
         bad = np.flatnonzero(~np.isfinite(slope))
         if bad.size:

@@ -221,7 +221,12 @@ def smoothed_weights_entropic(losses, p: float, mu: float) -> SmoothedOracleOutp
         logc = np.log(cap) - float(np.min(L)) / mu
         return _uniform_output(L, lam=float(-mu * (logc + 1.0)))
 
-    s = L / mu
+    # An L/mu past the float range leaves no cap count to find.
+    try:
+        with np.errstate(over="raise"):
+            s = L / mu
+    except FloatingPointError:
+        raise _out_of_range("entropic cap count not found", L, mu) from None
     # Capping k coordinates leaves mass 1 - k*cap > 0, so k < ceil(1/cap): the
     # cap count is found among the K largest scaled losses (one extra for
     # rounding), and the rest enter through one log-sum-exp.

@@ -13,17 +13,19 @@ Because a generator is only resumed when the run goes on, no method spends
 oracle calls after an iterate that passes one of these tests.
 
 The returned solution is the evaluated iterate with the lowest recorded
-objective (subgradient-type and accelerated methods are not descent methods,
-so last-iterate would be wrong); among tied iterates it is the latest, so a
-run that stops on the gradient test at a value tied with the best returns
-the iterate whose gradient passed.
+objective (the subgradient and dual-averaging methods are not descent
+methods, so last-iterate would be wrong); among tied iterates it is the
+latest, so a run that stops on the gradient test at a value tied with the
+best returns the iterate whose gradient passed.
 
 The driver's stopping tests run after each recorded iterate in the order:
 gradient norm, best-objective stall, then the iteration budget.  Since
 ``grad_tol >= 0``, an exactly zero gradient always stops the run.  The stall
 test compares the running best objective against its value ten recorded
-iterations earlier; ``f_tol = 0`` disables it, since a literal
-zero-improvement test would stop any oscillating method almost immediately.
+iterations earlier, and ``f_tol = 0`` disables it.  It runs only for the
+descent methods, gradient descent and L-BFGS: the iterates of the other two
+oscillate, so their best objective can stay flat for ten iterations while
+they still approach the minimum.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ class Algorithm(str, Enum):
     SUBGRADIENT = "subgradient"
     DUAL_AVERAGING = "dual_averaging"
     GRADIENT_DESCENT = "gradient_descent"
-    ACCELERATED_GRADIENT = "accelerated_gradient"
     LBFGS = "lbfgs"
 
 
@@ -84,8 +85,10 @@ class SolverConfig:
     """Shared solver settings.
 
     ``step_size`` is either a positive float or the string ``"auto"``, in
-    which case :func:`tune_initial_step` picks it at the first iterate.  The
-    starting point ``initial_point`` must be given before a run.
+    which case :func:`tune_initial_step` picks it at the first iterate.
+    ``f_tol`` is the stall tolerance of gradient descent and L-BFGS; the
+    subgradient and dual-averaging methods ignore it.  The starting point
+    ``initial_point`` must be given before a run.
     """
 
     algorithm: Algorithm = Algorithm.LBFGS
@@ -258,34 +261,6 @@ def _gradient_descent(oracle: Oracle, x: np.ndarray, config: SolverConfig) -> St
         x, f, g = step
 
 
-def _accelerated_gradient(oracle: Oracle, x0: np.ndarray, config: SolverConfig) -> Steps:
-    """Accelerated gradient with the standard momentum sequence.
-
-    x_{s+1} = y_s - step * grad(y_s), then y_{s+1} extrapolates x_{s+1} past
-    x_s with coefficient (a_s - 1) / a_{s+1}, where a starts at 1 and follows
-    a -> (1 + sqrt(1 + 4 a^2)) / 2 (so the second value is the golden ratio).
-    The recorded iterates are the y_s.  With an auto step the tuned step is
-    halved: the tuner approximates the largest still-decreasing step while the
-    scheme wants the inverse of the gradient's Lipschitz constant, about half
-    of that.
-    """
-    x_prev = y = x0
-    a_cur = 1.0
-    step = None
-    while True:
-        f, g = oracle(y)
-        yield y, f, g
-        if step is None:
-            step = _step_or_tune(oracle, x_prev, f, g, config)
-            if isinstance(config.step_size, str):
-                step *= 0.5
-        x_next = y - step * g
-        a_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * a_cur * a_cur))
-        y = x_next + ((a_cur - 1.0) / a_next) * (x_next - x_prev)
-        x_prev = x_next
-        a_cur = a_next
-
-
 def _two_loop(g: np.ndarray, memory: deque[tuple[np.ndarray, np.ndarray, float]]) -> np.ndarray:
     q = g.copy()
     alphas = []
@@ -341,7 +316,6 @@ _STEPS: dict[Algorithm, Callable[[Oracle, np.ndarray, SolverConfig], Steps]] = {
     Algorithm.SUBGRADIENT: _subgradient,
     Algorithm.DUAL_AVERAGING: _dual_averaging,
     Algorithm.GRADIENT_DESCENT: _gradient_descent,
-    Algorithm.ACCELERATED_GRADIENT: _accelerated_gradient,
     Algorithm.LBFGS: _lbfgs,
 }
 
@@ -364,7 +338,9 @@ def run_solver(oracle: Oracle, config: SolverConfig) -> SolverResult:
     trace: list[float] = []
     best_f, best_x = math.inf, None
     best_hist: deque[float] = deque(maxlen=_STALL_WINDOW + 1)
-    steps = _STEPS[Algorithm(config.algorithm)](counted, config.start_point(), config)
+    algorithm = Algorithm(config.algorithm)
+    f_tol = config.f_tol if algorithm in (Algorithm.GRADIENT_DESCENT, Algorithm.LBFGS) else 0.0
+    steps = _STEPS[algorithm](counted, config.start_point(), config)
     while True:
         try:
             x, f, g = next(steps)
@@ -381,11 +357,7 @@ def run_solver(oracle: Oracle, config: SolverConfig) -> SolverResult:
         best_hist.append(best_f)
         if np.linalg.norm(g) <= config.grad_tol:
             termination = Termination.GRAD_TOL
-        elif (
-            config.f_tol > 0.0
-            and len(best_hist) > _STALL_WINDOW
-            and best_hist[0] - best_f <= config.f_tol
-        ):
+        elif f_tol > 0.0 and len(best_hist) > _STALL_WINDOW and best_hist[0] - best_f <= f_tol:
             termination = Termination.F_TOL
         elif len(trace) >= config.max_iters:
             termination = Termination.MAX_ITERS

@@ -251,3 +251,10 @@ class TestJacobianTransposeApply:
         q = np.array([0.0, 0.0, 0.5, 0.5])
         with pytest.raises(EvaluationError, match="sample 2"):
             jacobian_transpose_apply(BadSlope(), ds, np.zeros(2), q)
+
+    def test_overflowing_accumulation_raises_without_warning(self):
+        # Each slope is finite but X.T @ (q * slope) overflows; pytest turns a
+        # RuntimeWarning into an error, so numpy must not warn first.
+        ds = Dataset(np.full((2, 1), 1e200), [1e200, -1e200])
+        with pytest.raises(EvaluationError, match="non-finite gradient accumulation"):
+            jacobian_transpose_apply(LinearLeastSquares(), ds, [1.0], [0.5, 0.5])

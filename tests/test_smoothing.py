@@ -410,10 +410,10 @@ class TestEntropicScanReference:
             smoothed_weights_entropic([1.0, 5.0, 2.0, 3.0], 0.5, 1.0)
 
     def test_overflowing_loss_to_mu_ratio_raises_evaluation_error(self):
-        # L/mu overflows to inf, so the tail ratios are NaN and no count passes.
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(EvaluationError, match="cap count not found at loss-to-mu ratio inf"):
-                smoothed_weights_entropic([1e300, -1e300, 0.0, 5.0], 0.5, 1e-10)
+        # L/mu overflows; pytest turns a RuntimeWarning into an error, so the
+        # step must raise with no warning first.
+        with pytest.raises(EvaluationError, match="cap count not found at loss-to-mu ratio inf"):
+            smoothed_weights_entropic([1e300, -1e300, 0.0, 5.0], 0.5, 1e-10)
 
 
 class TestSupport:

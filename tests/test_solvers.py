@@ -22,14 +22,6 @@ from helpers import (
     scan_initial_step,
 )
 
-GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
-
-
-def nesterov_alpha_next(alpha):
-    """Reference momentum recursion a -> (1 + sqrt(1 + 4 a^2)) / 2."""
-    return 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * alpha * alpha))
-
-
 def abs_toy_oracle():
     # n = 1 with |y - w x|, x = 1, y = 0: the objective is |w| at any level.
     ds = Dataset([[1.0]], [0.0])
@@ -365,94 +357,6 @@ class TestGradientDescent:
         assert len(r.objective_trace) == 11  # detected right after the window fills
 
 
-class TestAcceleratedGradient:
-    def test_momentum_recursion_values(self):
-        assert nesterov_alpha_next(1.0) == pytest.approx(GOLDEN, abs=1e-15)
-        a2 = nesterov_alpha_next(GOLDEN)
-        assert a2 == pytest.approx((1.0 + np.sqrt(1.0 + 4.0 * GOLDEN**2)) / 2.0)
-        gamma = (1.0 - GOLDEN) / a2
-        assert gamma == pytest.approx(-0.28183, abs=1e-4)
-
-    def test_scheme_matches_manual_unroll(self):
-        A = np.diag([1.0, 0.25])
-        b = np.array([0.5, -0.25])
-        oracle = RecordingOracle(quadratic_oracle(A, b)[0])
-        step = 0.7
-        cfg = SolverConfig(
-            algorithm="accelerated_gradient",
-            max_iters=6,
-            grad_tol=0.0,
-            f_tol=0.0,
-            step_size=step,
-            initial_point=np.zeros(2),
-        )
-        r = run_solver(oracle, cfg)
-        assert len(oracle.points) == len(r.objective_trace) == 6  # fixed step: no tuning calls
-        x_prev = np.zeros(2)
-        y = np.zeros(2)
-        a_cur = 1.0
-        for k in range(5):
-            assert np.allclose(oracle.points[k], y, atol=1e-14)
-            g = A @ y - b
-            x_next = y - step * g
-            a_next = nesterov_alpha_next(a_cur)
-            y = x_next + ((a_cur - 1.0) / a_next) * (x_next - x_prev)
-            x_prev, a_cur = x_next, a_next
-
-    def test_quadratic_converges_quickly(self):
-        oracle, _, _ = quadratic_oracle(np.eye(1), np.zeros(1))
-        cfg = SolverConfig(
-            algorithm="accelerated_gradient",
-            max_iters=100,
-            grad_tol=1e-8,
-            f_tol=0.0,
-            step_size=1.0,
-            initial_point=np.array([2.0]),
-        )
-        r = run_solver(oracle, cfg)
-        assert r.termination is Termination.GRAD_TOL
-        assert len(r.objective_trace) <= 100
-
-    def test_beats_gradient_descent_on_ill_conditioned_quadratic(self):
-        d = 20
-        A = np.diag(np.logspace(-4, 0, d))  # condition number 1e4
-        b = A @ np.ones(d)
-        oracle, _, f_star = quadratic_oracle(A, b)
-        gd = run_solver(
-            oracle,
-            SolverConfig(
-                algorithm="gradient_descent",
-                max_iters=25000,
-                grad_tol=0.0,
-                f_tol=0.0,
-                step_size=1.0,
-                initial_point=np.zeros(d),
-            ),
-        )
-        agd = run_solver(
-            oracle,
-            SolverConfig(
-                algorithm="accelerated_gradient",
-                max_iters=2500,
-                grad_tol=0.0,
-                f_tol=0.0,
-                step_size=1.0,
-                initial_point=np.zeros(d),
-            ),
-        )
-
-        def first_hit(trace):
-            best = np.minimum.accumulate(trace)
-            hits = np.nonzero(best - f_star <= 1e-6)[0]
-            assert hits.size, "tolerance never reached"
-            return hits[0]
-
-        gd_hit = first_hit(gd.objective_trace)
-        agd_hit = first_hit(agd.objective_trace)
-        assert agd_hit <= gd_hit / 10
-        assert agd.oracle_calls < gd.oracle_calls
-
-
 class TestLbfgs:
     def test_strongly_convex_quadratic(self):
         # Minimum value 0 keeps Armijo comparisons exact at every scale, so
@@ -661,7 +565,6 @@ class TestSharedContract:
             ("subgradient", exact),
             ("dual_averaging", exact),
             ("gradient_descent", smooth),
-            ("accelerated_gradient", smooth),
             ("lbfgs", smooth),
         ]
         for algo, oracle in runs:
