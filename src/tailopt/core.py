@@ -1,9 +1,17 @@
-"""Shared domain types, the margin-loss contract and the one-pass oracle pipeline."""
+"""Shared domain types, the margin-loss contract and the one-pass oracle pipeline.
+
+The dense products ``X @ w`` and full-support ``X.T @ c`` run on a column-major
+copy of the features, about twice as fast on tall, narrow data; gathers of the
+weight support ``X[S]`` read the row-major ``Dataset.features``, several times
+faster there than on the copy.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Protocol
 
 import numpy as np
@@ -39,6 +47,10 @@ class Dataset:
     Arrays are copied, cast to float64 and made read-only at construction, so
     instances are immutable and safe to share across threads.  Non-finite
     entries are rejected eagerly with the offending sample index.
+
+    ``features`` is row-major.  The oracles also read a read-only column-major
+    copy, which costs one more n-by-d float64 array: it is made on the first
+    oracle call, not at construction, and is as safe to share as the rest.
     """
 
     features: np.ndarray
@@ -80,6 +92,13 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.features.shape[1]
+
+    @cached_property
+    def _column_major(self) -> np.ndarray:
+        # No copy when the features are already column-major (n == 1 or d == 1).
+        X = np.asfortranarray(self.features)
+        X.setflags(write=False)
+        return X
 
 
 @dataclass(frozen=True)
@@ -145,12 +164,20 @@ def _margins(data: Dataset, w) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.shape != (data.d,):
         raise ValueError(f"parameter vector has shape {w.shape}, expected ({data.d},)")
-    return data.features @ w
+    return data._column_major @ w
+
+
+def _all_finite(values: np.ndarray) -> bool:
+    """Whether every entry is finite: one sum, and a scan only when the sum is
+    not, as a NaN or inf entry makes it, and so may finite ones that overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = values.sum()
+    return math.isfinite(total) or bool(np.isfinite(values).all())
 
 
 def _losses(loss: MarginLoss, data: Dataset, z: np.ndarray) -> np.ndarray:
     values = np.asarray(loss.value(z, data.targets), dtype=float)
-    if not np.isfinite(values).all():
+    if not _all_finite(values):
         bad = np.flatnonzero(~np.isfinite(values))[0]
         raise EvaluationError(f"non-finite loss value at sample {int(bad)}")
     return values
@@ -173,19 +200,19 @@ def _support(q: np.ndarray) -> np.ndarray | None:
 
 
 def _gradient(
-    loss: MarginLoss, data: Dataset, z: np.ndarray, q: np.ndarray, support: np.ndarray | None
+    loss: MarginLoss, data: Dataset, z: np.ndarray, qs: np.ndarray, support: np.ndarray | None
 ) -> np.ndarray:
     """sum_i q_i * slope_i * x_i over the support S of q: X[S].T @ (q_S * slope_S).
 
-    ``support`` holds the ascending indices of the nonzero entries of ``q``, or
-    is None when all n are nonzero; the stored arrays are then used as they
-    are, with no row copy.
+    ``support`` holds the ascending indices of the nonzero weights and ``qs``
+    the weights on it, or ``support`` is None and ``qs`` holds all n weights;
+    the product then runs on the column-major copy, with no row gather.
     """
     if support is None:
-        X, y, zs, qs = data.features, data.targets, z, q
+        X, y, zs = data._column_major, data.targets, z
     else:
         X = data.features.take(support, axis=0)
-        y, zs, qs = data.targets[support], z[support], q[support]
+        y, zs = data.targets[support], z[support]
     slope = np.asarray(loss.slope(zs, y), dtype=float)
     # An overflowing sum raises below, so numpy need not warn of it first.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -202,17 +229,16 @@ def _gradient(
 def _oracle(loss: MarginLoss, data: Dataset, w, weigh) -> tuple[float, np.ndarray]:
     """Value and gradient of a dual-weighted objective in one pass over the data.
 
-    ``weigh`` maps the loss vector to an output with ``value``, ``weights``
-    (the exact or a smoothed dual maximizer) and ``support`` (the ascending
-    indices of the nonzero weights, or None when all are nonzero), so the
-    gradient gathers the support without searching the weights again.  The
-    margins ``X @ w`` are formed once and serve both the losses and the
-    gradient; :func:`batch_losses` then :func:`jacobian_transpose_apply` do
-    the same arithmetic, bit for bit.
+    ``weigh`` maps the checked loss vector to the value, the support of the
+    dual weights (the exact or a smoothed maximizer) and the weights on it, as
+    :func:`_gradient` takes them, so the gradient gathers the support without
+    searching the weights again.  The margins ``X @ w`` are formed once and
+    serve both the losses and the gradient; :func:`batch_losses` then
+    :func:`jacobian_transpose_apply` do the same arithmetic, bit for bit.
     """
     z = _margins(data, w)
-    out = weigh(_losses(loss, data, z))
-    return out.value, _gradient(loss, data, z, out.weights, out.support)
+    value, support, qs = weigh(_losses(loss, data, z))
+    return value, _gradient(loss, data, z, qs, support)
 
 
 def batch_losses(loss: MarginLoss, data: Dataset, w) -> np.ndarray:
@@ -236,4 +262,5 @@ def jacobian_transpose_apply(loss: MarginLoss, data: Dataset, w, q) -> np.ndarra
     q = np.asarray(q, dtype=float)
     if q.shape != (data.n,):
         raise ValueError(f"weight vector has shape {q.shape}, expected ({data.n},)")
-    return _gradient(loss, data, z, q, _support(q))
+    support = _support(q)
+    return _gradient(loss, data, z, q if support is None else q[support], support)

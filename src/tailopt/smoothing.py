@@ -130,40 +130,44 @@ def smoothed_weights_euclidean(losses, p: float, mu: float) -> SmoothedOracleOut
     uc = u[idx]
     m = uc.size
     us = np.sort(uc)
-    pre = np.concatenate(([0.0], np.cumsum(us)))
-    bps = np.unique(np.concatenate((uc, uc - mu * cap)))
+    # Losses near the float range overflow the prefix sums, which then fail
+    # the bracket check, and a loss-to-mu ratio past it overflows a quotient
+    # (u - lam) / mu, which the clip takes to the cap; numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        pre = np.concatenate(([0.0], np.cumsum(us)))
+        bps = np.unique(np.concatenate((uc, uc - mu * cap)))
 
-    def theta_at(lams: np.ndarray) -> np.ndarray:
-        hi = np.searchsorted(us, lams + mu * cap, side="right")
-        lo = np.searchsorted(us, lams, side="left")
-        n_mid = hi - lo
-        sum_mid = pre[hi] - pre[lo]
-        n_top = m - hi
-        return 1.0 - (sum_mid - lams * n_mid) / mu - cap * n_top
+        def theta_at(lams: np.ndarray) -> np.ndarray:
+            hi = np.searchsorted(us, lams + mu * cap, side="right")
+            lo = np.searchsorted(us, lams, side="left")
+            n_mid = hi - lo
+            sum_mid = pre[hi] - pre[lo]
+            n_top = m - hi
+            return 1.0 - (sum_mid - lams * n_mid) / mu - cap * n_top
 
-    theta = theta_at(bps)
-    b_idx = int(np.argmax(theta > 0.0))
-    # theta is 1 at the largest breakpoint and 1 - m*cap <= 0 at the smallest,
-    # so in exact arithmetic a sign change exists between adjacent breakpoints.
-    # Once the losses dwarf mu, rounding in the prefix sums can hide it.
-    if theta[b_idx] <= 0.0 or b_idx == 0:
-        raise _out_of_range("Euclidean dual derivative not bracketed", L, mu)
-    a, b = bps[b_idx - 1], bps[b_idx]
-    ta, tb = theta[b_idx - 1], theta[b_idx]
-    if abs(ta) <= 1e-12:
-        lam = float(a)
-    else:
-        # theta is affine between adjacent breakpoints: interpolation is exact.
-        lam = float(a - ta * (b - a) / (tb - ta))
+        theta = theta_at(bps)
+        b_idx = int(np.argmax(theta > 0.0))
+        # theta is 1 at the largest breakpoint and 1 - m*cap <= 0 at the smallest,
+        # so in exact arithmetic a sign change exists between adjacent breakpoints.
+        # Once the losses dwarf mu, rounding in the prefix sums can hide it.
+        if theta[b_idx] <= 0.0 or b_idx == 0:
+            raise _out_of_range("Euclidean dual derivative not bracketed", L, mu)
+        a, b = bps[b_idx - 1], bps[b_idx]
+        ta, tb = theta[b_idx - 1], theta[b_idx]
+        if abs(ta) <= 1e-12:
+            lam = float(a)
+        else:
+            # theta is affine between adjacent breakpoints: interpolation is exact.
+            lam = float(a - ta * (b - a) / (tb - ta))
 
-    qc = np.clip((uc - lam) / mu, 0.0, cap)
-    drift = float(qc.sum()) - 1.0
-    if abs(drift) > 5e-12:
-        # One Newton correction on the active affine piece, then re-clip.
-        n_mid = int(np.count_nonzero((uc - mu * cap <= lam) & (lam <= uc)))
-        if n_mid > 0:
-            lam += drift * mu / n_mid
-            qc = np.clip((uc - lam) / mu, 0.0, cap)
+        qc = np.clip((uc - lam) / mu, 0.0, cap)
+        drift = float(qc.sum()) - 1.0
+        if abs(drift) > 5e-12:
+            # One Newton correction on the active affine piece, then re-clip.
+            n_mid = int(np.count_nonzero((uc - mu * cap <= lam) & (lam <= uc)))
+            if n_mid > 0:
+                lam += drift * mu / n_mid
+                qc = np.clip((uc - lam) / mu, 0.0, cap)
     q = np.zeros(n)
     q[idx] = qc
     support = idx[qc != 0.0]
@@ -199,7 +203,7 @@ def _tail_ratios(ascending: np.ndarray) -> np.ndarray:
     """
     a_max = ascending[-1]
     low = ascending[1] if ascending[0] == -np.inf else min(ascending[0], ascending[1])
-    if a_max - low > _EXP_SPAN:
+    if a_max > low + _EXP_SPAN:  # a_max - low could overflow
         R = np.logaddexp.accumulate(ascending)[1:]
         R -= ascending[1:]
         np.minimum(R, _EXP_SPAN, out=R)
@@ -302,4 +306,10 @@ def smoothed_oracle(
         weights = smoothed_weights_entropic
     else:
         weights = smoothed_weights_euclidean
-    return _oracle(loss, data, w, lambda L: weights(L, params.p, params.mu))
+
+    def weigh(L):
+        out = weights(L, params.p, params.mu)
+        S = out.support
+        return out.value, S, out.weights if S is None else out.weights[S]
+
+    return _oracle(loss, data, w, weigh)

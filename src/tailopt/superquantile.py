@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _NONFINITE, Dataset, MarginLoss, _as_loss_vector, _oracle
+from .core import _NONFINITE, Dataset, MarginLoss, _all_finite, _as_loss_vector, _oracle
 
 __all__ = [
     "ExactOracleOutput",
@@ -38,7 +38,7 @@ class ExactOracleOutput:
     """Value and dual weights of the exact oracle at one loss vector.
 
     ``weights`` lies in the capped simplex and attains the dual maximum, so
-    ``value == weights @ losses``.  ``quantile`` is the empirical p-quantile
+    ``value`` is ``weights @ losses``, summed over the support.  ``quantile`` is the empirical p-quantile
     and ``tie_set_size`` the number of samples whose loss equals it.
     ``support`` holds the ascending indices of the nonzero weights, or is None
     when all of them are nonzero.
@@ -91,6 +91,38 @@ def superquantile(losses, p: float) -> float:
     return float(q + cap * np.sum(np.maximum(L - q, 0.0)))
 
 
+def _tail_weights(
+    L: np.ndarray, p: float
+) -> tuple[float, np.ndarray | None, np.ndarray, float, int]:
+    """The exact weight step on a finite loss vector, on the support only.
+
+    Returns the quantile, the support S (ascending indices of the nonzero
+    weights, or None when it holds all n samples), the weights on S, the value
+    q_S @ L_S and the number of samples tied with the quantile.
+    """
+    n = L.size
+    cap = 1.0 / (n * (1.0 - p))
+    qv = _order_statistic(L, p)
+    S = np.flatnonzero(L >= qv)
+    LS = L[S]
+    above = LS > qv
+    n_above = int(np.count_nonzero(above))
+    n_tied = S.size - n_above
+    # Uniform split of the tie mass; alpha lies in [0, 1) by construction.
+    alpha = (n - n_above - n * p) / n_tied
+    if alpha == 0.0:
+        S, LS = S[above], LS[above]
+        qS = np.full(S.size, cap)
+    else:
+        qS = np.where(above, cap, cap * alpha)
+    return qv, None if S.size == n else S, qS, float(qS @ LS), n_tied
+
+
+def _check_level(p: float) -> None:
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"tail level must lie in [0, 1), got {p}")
+
+
 def exact_subgradient_weights(losses, p: float) -> ExactOracleOutput:
     """Dual weights realizing one canonical subgradient of the superquantile.
 
@@ -101,40 +133,22 @@ def exact_subgradient_weights(losses, p: float) -> ExactOracleOutput:
     weights maximize q @ losses over the capped simplex.
 
     One scan finds the samples at or above the quantile; they are the support,
-    less the tied ones when the leftover mass is zero, and the oracle hands it
-    to the gradient with the weights.  Non-finite losses raise ``ValueError``.
+    less the tied ones when the leftover mass is zero.  The value sums over
+    the support alone, as :func:`exact_oracle` does, so both agree bit for
+    bit.  Non-finite losses raise ``ValueError``, also at zero weight.
     """
     L = _as_loss_vector(losses)
-    n = L.size
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"tail level must lie in [0, 1), got {p}")
-    cap = 1.0 / (n * (1.0 - p))
-    qv = _order_statistic(L, p)
-    if math.isnan(qv):  # only a NaN loss gives a NaN quantile, and no sample ties it
+    _check_level(p)
+    if not _all_finite(L):
         raise ValueError(_NONFINITE)
-    S = np.flatnonzero(L >= qv)
-    above = L[S] > qv
-    n_above = int(np.count_nonzero(above))
-    n_tied = S.size - n_above
-    n_le = n - n_above
-    # Uniform split of the tie mass; alpha lies in [0, 1) by construction.
-    alpha = (n_le - n * p) / n_tied
-    weights = np.zeros(n)
-    weights[S] = np.where(above, cap, cap * alpha)
-    if alpha == 0.0:
-        S = S[above]
-    # A non-finite loss makes the dot non-finite, whatever its weight (0 * inf
-    # is NaN, which numpy would warn about), so L is scanned only then.
-    with np.errstate(invalid="ignore"):
-        value = float(weights @ L)
-    if not math.isfinite(value) and not np.isfinite(L).all():
-        raise ValueError(_NONFINITE)
+    qv, S, qS, value, n_tied = _tail_weights(L, p)
+    if S is None:
+        weights = qS
+    else:
+        weights = np.zeros(L.size)
+        weights[S] = qS
     return ExactOracleOutput(
-        value=value,
-        weights=weights,
-        quantile=qv,
-        tie_set_size=n_tied,
-        support=None if S.size == n else S,
+        value=value, weights=weights, quantile=qv, tie_set_size=n_tied, support=S
     )
 
 
@@ -144,6 +158,14 @@ def exact_oracle(
     """Superquantile objective value and one subgradient at parameters ``w``.
 
     The subgradient is the dual-weighted combination of per-sample gradients;
-    for convex losses it satisfies the subgradient inequality globally.
+    for convex losses it satisfies the subgradient inequality globally.  The
+    weight step runs on the checked losses and hands only the support and its
+    weights to the gradient; no dense weight vector is formed.
     """
-    return _oracle(loss, data, w, lambda L: exact_subgradient_weights(L, p))
+
+    def weigh(L):
+        _check_level(p)
+        _, S, qS, value, _ = _tail_weights(L, p)
+        return value, S, qS
+
+    return _oracle(loss, data, w, weigh)

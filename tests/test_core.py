@@ -11,6 +11,7 @@ from tailopt.core import (
     jacobian_transpose_apply,
 )
 from tailopt.models import LinearLeastSquares, LinearLogistic
+from tailopt.superquantile import exact_oracle
 
 from helpers import CountingLoss, random_lsq_dataset, sample_gradient
 
@@ -66,6 +67,23 @@ class TestDataset:
         ds = Dataset(X, y)
         X[0, 0] = 99.0
         assert ds.features[0, 0] == 1.0
+
+    def test_column_major_copy_is_read_only_and_equal(self):
+        ds = random_lsq_dataset(15, n=30, d=4)
+        X = ds._column_major
+        assert X.flags.f_contiguous and not X.flags.writeable
+        assert np.array_equal(X, ds.features)
+        assert ds.features.flags.c_contiguous
+
+    def test_column_major_copy_is_built_once_on_the_first_oracle_call(self):
+        ds = random_lsq_dataset(16, n=30, d=4)
+        assert "_column_major" not in vars(ds)
+        exact_oracle(LinearLeastSquares(), ds, np.ones(4), 0.5)
+        X = vars(ds)["_column_major"]
+        exact_oracle(LinearLeastSquares(), ds, np.zeros(4), 0.5)
+        batch_losses(LinearLeastSquares(), ds, np.zeros(4))
+        jacobian_transpose_apply(LinearLeastSquares(), ds, np.zeros(4), np.full(30, 1 / 30))
+        assert vars(ds)["_column_major"] is X
 
 
 class TestRiskParams:
@@ -141,6 +159,24 @@ class TestBatchLosses:
         ds = Dataset(np.ones((5, 1)), np.arange(5.0))
         with pytest.raises(EvaluationError, match="sample 3"):
             batch_losses(Exploding(), ds, np.zeros(1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_loss_names_first_sample_among_huge_ones(self, bad):
+        # The finite losses alone overflow the sum that screens for a bad one.
+        class Exploding(LinearLeastSquares):
+            def value(self, z, y):
+                return np.where(y > 2.5, bad, 1e308)
+
+        ds = Dataset(np.ones((5, 1)), np.arange(5.0))
+        with pytest.raises(EvaluationError, match="sample 3"):
+            batch_losses(Exploding(), ds, np.zeros(1))
+
+    def test_finite_losses_whose_sum_overflows_pass(self):
+        # Two losses of 1.125e308: each is finite, their sum is not.  pytest
+        # turns a RuntimeWarning into an error, so numpy must not warn either.
+        ds = Dataset(np.ones((2, 1)), np.zeros(2))
+        values = batch_losses(LinearLeastSquares(), ds, [1.5e154])
+        assert np.isfinite(values).all() and values.min() > 1e308
 
 
 class TestJacobianTransposeApply:
@@ -223,10 +259,9 @@ class TestJacobianTransposeApply:
         q = rng.random(300) + 0.1
         got = jacobian_transpose_apply(Spy(), ds, w, q)
         assert len(seen) == 1 and seen[0] is ds.targets
-        # Same arithmetic as on a gathered copy of every row: bit-identical.
-        rows = np.arange(300)
-        X = ds.features[rows]
-        want = X.T @ (q[rows] * LinearLeastSquares().slope(X @ w, ds.targets[rows]))
+        # Same arithmetic as on a column-major copy of the features: bit-identical.
+        X = np.asfortranarray(ds.features)
+        want = X.T @ (q * LinearLeastSquares().slope(X @ w, ds.targets))
         assert np.array_equal(got, want)
 
     def test_all_zero_weights(self):

@@ -17,6 +17,14 @@ import tailopt.cli
 import tailopt.core
 import tailopt.smoothing
 from tailopt.core import Dataset, RiskParams, batch_losses, jacobian_transpose_apply
+from tailopt.dataio import (
+    SyntheticSpec,
+    append_intercept,
+    generate_low_rank,
+    generate_targets,
+    resolve_w_bar,
+    seed_streams,
+)
 from tailopt.models import LinearLeastSquares, LinearLogistic
 from tailopt.smoothing import smoothed_oracle, smoothed_weights_entropic, smoothed_weights_euclidean
 from tailopt.superquantile import exact_oracle, exact_subgradient_weights
@@ -102,6 +110,24 @@ class TestOnePass:
             assert np.count_nonzero(q) == size
             assert f == f_ref
             assert np.array_equal(g, g_ref)
+
+    @pytest.mark.parametrize("p", [0.0, 0.9])
+    def test_exact_oracle_is_bit_identical_to_its_layers_at_the_benchmark_shape(self, p):
+        # The subgradient workload's data at n = 2000: four low-rank features
+        # and an intercept, along a few subgradient steps.
+        spec = SyntheticSpec(n=2000, d=4, effective_rank=4, seed=31)
+        streams = seed_streams(spec.seed)
+        X = generate_low_rank(spec.n, spec.d, spec.effective_rank, streams["train_matrix"])
+        y = generate_targets(X, resolve_w_bar(spec, streams["w_bar"]), spec, streams["train_noise"])
+        data = append_intercept(Dataset(X, y))
+        w = np.zeros(5)
+        for k in range(5):
+            f, g = exact_oracle(LinearLeastSquares(), data, w, p)
+            f_ref, g_ref, q = composed(LinearLeastSquares(), data, w, None, p, None)
+            assert bool(q.all()) is (p == 0.0)
+            assert f == f_ref
+            assert np.array_equal(g, g_ref)
+            w = w - 0.5 / (k + 1) * g
 
     def test_logistic_oracle_is_bit_identical_to_its_layers(self):
         rng = np.random.default_rng(23)

@@ -190,6 +190,19 @@ class TestEuclideanSubroutine:
             smoothed_weights_euclidean([1e17, -2e16, 5e16], 0.1, 1e-3)
 
 
+    # pytest turns a RuntimeWarning into an error, so in the next two tests
+    # numpy must not warn of the overflow that the step handles.
+    def test_overflowing_quotient_clips_to_the_cap(self):
+        # (u - lam) / mu overflows for the largest loss, which gets the cap.
+        out = smoothed_weights_euclidean([1e300, -1e300, 0.0, 5.0], 0.5, 1e-10)
+        assert np.array_equal(out.weights, [0.5, 0.0, 0.0, 0.5])
+        assert np.array_equal(out.support, [0, 3])
+
+    def test_overflowing_prefix_sums_raise_evaluation_error(self):
+        with pytest.raises(EvaluationError, match=r"not bracketed at loss-to-mu ratio 1e\+308"):
+            smoothed_weights_euclidean([1e308, 1e308, 0.0, 5.0], 0.5, 1.0)
+
+
 class TestThetaPrime:
     def test_worked_root(self):
         assert theta_prime(0.5, [0.0, 1.0], 0.5, 1.0) == pytest.approx(0.0, abs=1e-15)
@@ -414,6 +427,14 @@ class TestEntropicScanReference:
         # step must raise with no warning first.
         with pytest.raises(EvaluationError, match="cap count not found at loss-to-mu ratio inf"):
             smoothed_weights_entropic([1e300, -1e300, 0.0, 5.0], 0.5, 1e-10)
+
+    def test_scaled_loss_span_past_the_float_range(self):
+        # The span 1e308 - (-1e308) of L/mu overflows; the step takes the log
+        # domain without forming it, so numpy has nothing to warn of.
+        out = smoothed_weights_entropic([1e308, -1e308, 0.0, 5.0], 0.5, 1.0)
+        e5 = np.exp(5.0)
+        assert out.weights[:2].tolist() == [0.5, 0.0]
+        assert np.allclose(out.weights[2:], [0.5 / (1 + e5), 0.5 * e5 / (1 + e5)], rtol=1e-12)
 
 
 class TestSupport:
