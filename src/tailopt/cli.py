@@ -127,7 +127,14 @@ def _add_fit_flags(p: argparse.ArgumentParser) -> None:
     ``train`` has flags for them."""
     p.add_argument("--mu", type=_positive, default=1000.0, help="smoothing scale")
     p.add_argument("--penalty", choices=["euclidean", "entropic"], default="euclidean")
-    p.add_argument("--algorithm", choices=[a.value for a in Algorithm], default="lbfgs")
+    p.add_argument(
+        "--algorithm",
+        choices=[a.value for a in Algorithm],
+        default="lbfgs",
+        help="subgradient and dual_averaging fit the exact superquantile and ignore --mu, "
+        "--penalty and train's --f-tol; lbfgs fits the smoothed one and ignores train's "
+        "--step-size",
+    )
     p.add_argument("--max-iters", type=_count, default=500)
     defaults = SolverConfig()
     p.set_defaults(step_size=defaults.step_size, grad_tol=defaults.grad_tol, f_tol=defaults.f_tol)
@@ -436,13 +443,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--p", type=_tail_level, default=0.9, help="tail level")
     _add_fit_flags(p_train)
     # These three take their defaults from _add_fit_flags.
-    p_train.add_argument("--step-size", type=_step_size)
+    p_train.add_argument(
+        "--step-size",
+        type=_step_size,
+        help="base step of subgradient and dual_averaging, or 'auto' to tune it at the "
+        "first iterate; lbfgs ignores it",
+    )
     p_train.add_argument("--grad-tol", type=_nonnegative)
     p_train.add_argument(
         "--f-tol",
         type=_nonnegative,
-        help="stop gradient_descent and lbfgs when the best objective gains at most "
-        "this over 10 iterations; 0 disables it, and the other algorithms ignore it",
+        help="stop lbfgs when its best objective gains at most this over 10 iterations; "
+        "0 disables it, and the other algorithms ignore it",
     )
     p_train.add_argument(
         "--no-intercept",

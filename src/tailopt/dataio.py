@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, EvaluationError
-from .superquantile import quantile
+from .core import Dataset, EvaluationError, _all_finite
+from .superquantile import _order_statistic
 
 __all__ = [
     "DataFormatError",
@@ -278,13 +278,11 @@ def residual_quantile_report(w, data: Dataset, p_levels) -> QuantileReport:
             raise ValueError(f"report levels must lie in [0, 1), got {p}")
     with np.errstate(over="ignore", invalid="ignore"):
         r2 = (data.targets - data.features @ w) ** 2
-    bad = ~np.isfinite(r2)
-    if bad.any():
-        raise EvaluationError(
-            f"non-finite squared residual at sample {int(np.flatnonzero(bad)[0])}"
-        )
+    if not _all_finite(r2):
+        bad = np.flatnonzero(~np.isfinite(r2))[0]
+        raise EvaluationError(f"non-finite squared residual at sample {int(bad)}")
     return QuantileReport(
         mean=float(r2.mean()),
-        quantiles={p: quantile(r2, p) for p in levels},
+        quantiles={p: _order_statistic(r2, p) for p in levels},
         p_levels=levels,
     )

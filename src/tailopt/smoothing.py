@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _NONFINITE, Dataset, EvaluationError, MarginLoss, Penalty, RiskParams
-from .core import _as_loss_vector, _oracle, _support
+from .core import _all_finite, _as_loss_vector, _oracle, _support
 # The oracle's layer functions, kept as attributes of this module: the
 # benchmark's traced runs rebind them here (bench/workloads.py).
 from .core import batch_losses, jacobian_transpose_apply  # noqa: F401
@@ -86,7 +86,7 @@ class SmoothedOracleOutput:
 
 def _validate(losses, p: float, mu: float) -> np.ndarray:
     L = _as_loss_vector(losses)
-    if not np.isfinite(L).all():
+    if not _all_finite(L):
         raise ValueError(_NONFINITE)
     if not 0.0 <= p < 1.0:
         raise ValueError(f"tail level must lie in [0, 1), got {p}")

@@ -1,16 +1,18 @@
 """Batch first-order solvers: one driver loop over per-method step generators.
 
 :func:`run_solver` takes an oracle closure ``w -> (value, gradient)`` and a
-:class:`SolverConfig`, and runs the method named by ``config.algorithm``.
-Each method is a step generator ``(oracle, x0, config)`` that yields its
-evaluated iterates ``(x, f, g)`` one at a time, starting with ``x0``; it only
-decides where to evaluate next.  A generator that returns ends the run with
-the :class:`Termination` it returns: gradient descent and L-BFGS return when
-their line search fails, or when it accepts a step that leaves x unchanged.
-The driver alone counts oracle calls, checks that each yielded value and
-gradient are finite, records the objective trace and runs the stopping tests.
-Because a generator is only resumed when the run goes on, no method spends
-oracle calls after an iterate that passes one of these tests.
+:class:`SolverConfig`, and runs the method named by ``config.algorithm``:
+the subgradient and dual-averaging methods, meant for the exact nonsmooth
+oracle, or L-BFGS, meant for the smoothed one.  Each method is a step
+generator ``(oracle, x0, config)`` that yields its evaluated iterates
+``(x, f, g)`` one at a time, starting with ``x0``; it only decides where to
+evaluate next.  A generator that returns ends the run with the
+:class:`Termination` it returns: L-BFGS returns when its line search fails,
+or when it accepts a step that leaves x unchanged.  The driver alone counts
+oracle calls, checks that each yielded value and gradient are finite,
+records the objective trace and runs the stopping tests.  Because a
+generator is only resumed when the run goes on, no method spends oracle
+calls after an iterate that passes one of these tests.
 
 The returned solution is the evaluated iterate with the lowest recorded
 objective (the subgradient and dual-averaging methods are not descent
@@ -23,9 +25,9 @@ gradient norm, best-objective stall, then the iteration budget.  Since
 ``grad_tol >= 0``, an exactly zero gradient always stops the run.  The stall
 test compares the running best objective against its value ten recorded
 iterations earlier, and ``f_tol = 0`` disables it.  It runs only for the
-descent methods, gradient descent and L-BFGS: the iterates of the other two
-oscillate, so their best objective can stay flat for ten iterations while
-they still approach the minimum.
+descent method, L-BFGS: the iterates of the other two oscillate, so their
+best objective can stay flat for ten iterations while they still approach
+the minimum.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ _LBFGS_MEMORY = 10
 class Algorithm(str, Enum):
     SUBGRADIENT = "subgradient"
     DUAL_AVERAGING = "dual_averaging"
-    GRADIENT_DESCENT = "gradient_descent"
     LBFGS = "lbfgs"
 
 
@@ -84,11 +85,12 @@ class TuneStepWarning(UserWarning):
 class SolverConfig:
     """Shared solver settings.
 
-    ``step_size`` is either a positive float or the string ``"auto"``, in
-    which case :func:`tune_initial_step` picks it at the first iterate.
-    ``f_tol`` is the stall tolerance of gradient descent and L-BFGS; the
-    subgradient and dual-averaging methods ignore it.  The starting point
-    ``initial_point`` must be given before a run.
+    ``step_size`` is the base step of the subgradient and dual-averaging
+    methods: a positive float, or the string ``"auto"``, in which case
+    :func:`tune_initial_step` picks it at the first iterate.  L-BFGS ignores
+    it.  ``f_tol`` is the stall tolerance of L-BFGS; the other two methods
+    ignore it.  The starting point ``initial_point`` must be given before a
+    run.
     """
 
     algorithm: Algorithm = Algorithm.LBFGS
@@ -178,20 +180,20 @@ def _step_or_tune(
 
 
 def _backtrack(
-    oracle: Oracle, x: np.ndarray, f: float, d: np.ndarray, slope: float, t0: float
+    oracle: Oracle, x: np.ndarray, f: float, d: np.ndarray, slope: float
 ) -> tuple[np.ndarray, float, np.ndarray] | Termination:
-    """Armijo backtracking along ``d`` from step ``t0``, by safeguarded interpolation.
+    """Armijo backtracking along ``d`` from the unit step, by safeguarded interpolation.
 
-    ``slope`` is the directional derivative g @ d.  After a rejected trial at
-    step t with a finite value f_t, the next trial is the minimiser of the
-    quadratic through f, ``slope`` and f_t, clipped to [0.1 t, 0.5 t]
-    (Nocedal & Wright, *Numerical Optimization*, section 3.5); after a
-    non-finite value it is t / 2.  Returns the accepted ``(x, f, g)``;
-    ``LINE_SEARCH_FAILURE`` when all ``_MAX_TRIALS`` trials are rejected, and
-    ``NO_PROGRESS`` when the accepted point is bit-identical to ``x``, since
-    the same search would then repeat at every later iteration.
+    ``slope`` is the directional derivative g @ d, and the first trial is
+    x + d.  After a rejected trial at step t with a finite value f_t, the next
+    trial is the minimiser of the quadratic through f, ``slope`` and f_t,
+    clipped to [0.1 t, 0.5 t] (Nocedal & Wright, *Numerical Optimization*,
+    section 3.5); after a non-finite value it is t / 2.  Returns the accepted
+    ``(x, f, g)``; ``LINE_SEARCH_FAILURE`` when all ``_MAX_TRIALS`` trials are
+    rejected, and ``NO_PROGRESS`` when the accepted point is bit-identical to
+    ``x``, since the same search would then repeat at every later iteration.
     """
-    t = t0
+    t = 1.0
     for _ in range(_MAX_TRIALS):
         x_trial = x + t * d
         f_trial, g_trial = oracle(x_trial)
@@ -242,25 +244,6 @@ def _dual_averaging(oracle: Oracle, x0: np.ndarray, config: SolverConfig) -> Ste
         x = x0 - s / (a * math.sqrt(k + 1))
 
 
-def _gradient_descent(oracle: Oracle, x: np.ndarray, config: SolverConfig) -> Steps:
-    """Gradient descent with an Armijo line search from a fixed trial step.
-
-    Every search starts from the tuned (or configured) step.  The point the
-    line search accepts is the next iterate, so its oracle output is reused
-    rather than evaluated again.
-    """
-    f, g = oracle(x)
-    alpha = None
-    while True:
-        yield x, f, g
-        if alpha is None:
-            alpha = _step_or_tune(oracle, x, f, g, config)
-        step = _backtrack(oracle, x, f, -g, -float(g @ g), alpha)
-        if isinstance(step, Termination):
-            return step
-        x, f, g = step
-
-
 def _two_loop(g: np.ndarray, memory: deque[tuple[np.ndarray, np.ndarray, float]]) -> np.ndarray:
     q = g.copy()
     alphas = []
@@ -280,11 +263,13 @@ def _two_loop(g: np.ndarray, memory: deque[tuple[np.ndarray, np.ndarray, float]]
 def _lbfgs(oracle: Oracle, x: np.ndarray, config: SolverConfig) -> Steps:
     """Limited-memory BFGS (memory 10) with an Armijo line search from t = 1.
 
-    Curvature pairs with s @ y <= 1e-12 * ||s|| ||y|| are discarded, and the
-    search direction falls back to steepest descent whenever the two-loop
-    output fails the descent test.  If the line search rejects all its trials
-    on a quasi-Newton direction, the memory is cleared and the step retried
-    once along the raw negative gradient before failure is reported.
+    With empty memory, at the first iterate, the direction is -g, so the first
+    step is a gradient step from a unit trial.  Curvature pairs with
+    s @ y <= 1e-12 * ||s|| ||y|| are discarded, and the search direction falls
+    back to -g whenever the two-loop output fails the descent test.  If the
+    line search rejects all its trials on a quasi-Newton direction, the memory
+    is cleared and the step retried once along -g before failure is reported.
+    ``config.step_size`` is not used.
     """
     memory: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=_LBFGS_MEMORY)
     f, g = oracle(x)
@@ -297,10 +282,10 @@ def _lbfgs(oracle: Oracle, x: np.ndarray, config: SolverConfig) -> Steps:
             d = -g
             slope = -float(g @ g)
             used_memory = False
-        step = _backtrack(oracle, x, f, d, slope, 1.0)
+        step = _backtrack(oracle, x, f, d, slope)
         if step is Termination.LINE_SEARCH_FAILURE and used_memory:
             memory.clear()
-            step = _backtrack(oracle, x, f, -g, -float(g @ g), 1.0)
+            step = _backtrack(oracle, x, f, -g, -float(g @ g))
         if isinstance(step, Termination):
             return step
         x_new, f_new, g_new = step
@@ -315,7 +300,6 @@ def _lbfgs(oracle: Oracle, x: np.ndarray, config: SolverConfig) -> Steps:
 _STEPS: dict[Algorithm, Callable[[Oracle, np.ndarray, SolverConfig], Steps]] = {
     Algorithm.SUBGRADIENT: _subgradient,
     Algorithm.DUAL_AVERAGING: _dual_averaging,
-    Algorithm.GRADIENT_DESCENT: _gradient_descent,
     Algorithm.LBFGS: _lbfgs,
 }
 
@@ -339,7 +323,7 @@ def run_solver(oracle: Oracle, config: SolverConfig) -> SolverResult:
     best_f, best_x = math.inf, None
     best_hist: deque[float] = deque(maxlen=_STALL_WINDOW + 1)
     algorithm = Algorithm(config.algorithm)
-    f_tol = config.f_tol if algorithm in (Algorithm.GRADIENT_DESCENT, Algorithm.LBFGS) else 0.0
+    f_tol = config.f_tol if algorithm is Algorithm.LBFGS else 0.0
     steps = _STEPS[algorithm](counted, config.start_point(), config)
     while True:
         try:

@@ -60,7 +60,7 @@ def quantile(losses, p: float) -> float:
     L = _as_loss_vector(losses)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"quantile level must lie in [0, 1], got {p}")
-    if not np.isfinite(L).all():
+    if not _all_finite(L):
         raise ValueError(_NONFINITE)
     return _order_statistic(L, p)
 
@@ -82,7 +82,7 @@ def superquantile(losses, p: float) -> float:
     L = _as_loss_vector(losses)
     if not 0.0 <= p < 1.0:
         raise ValueError(f"superquantile level must lie in [0, 1), got {p}")
-    if not np.isfinite(L).all():
+    if not _all_finite(L):
         raise ValueError(_NONFINITE)
     if p == 0.0:
         return float(L.mean())

@@ -436,19 +436,28 @@ class TestExperiment:
         assert results[0] == "model,mean,q0.5,q0.9"
         assert len(results) == 5
 
-    @pytest.mark.parametrize("algorithm", ["gradient_descent"])
-    def test_entropic_unit_mu_with_tuned_steps(self, tmp_path, capsys, algorithm):
-        # The step tuner probes long steps, which drive loss/mu past 1e10.
+    def test_entropic_tiny_mu_reaches_huge_loss_ratios(self, tmp_path, capsys, monkeypatch):
+        # mu = 1e-9 drives loss/mu past 1e10, where the entropic weight step
+        # takes its log-domain tail sums; the run still ends cleanly.
+        ratios = []
+        weights = tailopt.smoothing.smoothed_weights_entropic
+
+        def recorded(losses, p, mu):
+            ratios.append(float(np.max(np.abs(losses))) / mu)
+            return weights(losses, p, mu)
+
+        monkeypatch.setattr(tailopt.smoothing, "smoothed_weights_entropic", recorded)
         code, lines, _ = run_cli(
             capsys,
             [
                 "experiment", "--seed", "0", "--n", "400", "--d", "10", "--rank", "5",
-                "--test-n", "50", "--max-iters", "20", "--penalty", "entropic", "--mu", "1",
-                "--algorithm", algorithm, "--out-dir", str(tmp_path / "exp"),
+                "--test-n", "50", "--max-iters", "20", "--penalty", "entropic", "--mu", "1e-9",
+                "--algorithm", "lbfgs", "--out-dir", str(tmp_path / "exp"),
             ],
         )
         assert code == 0
         assert len(lines[-1]["rows"]) == 4
+        assert max(ratios) > 1e10
 
     def test_trains_on_generated_data_without_reading_it_back(self, tmp_path, capsys, monkeypatch):
         flags = ["--seed", "5", "--n", "300", "--d", "6", "--rank", "3", "--test-n", "80"]
@@ -714,6 +723,22 @@ class TestFitFlags:
         assert f"argument {flag}" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("command", ["train", "experiment"])
+    def test_gradient_descent_is_not_a_choice(self, tmp_path, capsys, command):
+        data, _ = write_consistent_csv(tmp_path)
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", "--data", str(data), "--out", str(out)],
+            "experiment": ["experiment", *TestExperiment.FLAGS, "--out-dir", str(out)],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--algorithm", "gradient_descent"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --algorithm: invalid choice" in err
+        assert all(name in err for name in ("subgradient", "dual_averaging", "lbfgs"))
+        assert not out.exists()
+
     def test_fit_flags_accept_their_boundary_values(self):
         parser = build_parser()
         args = parser.parse_args(
@@ -762,14 +787,14 @@ class TestFitFlags:
         code, _, _ = run_cli(
             capsys,
             [
-                "experiment", *TestExperiment.FLAGS, "--algorithm", "gradient_descent",
+                "experiment", *TestExperiment.FLAGS, "--algorithm", "dual_averaging",
                 "--max-iters", "7", "--out-dir", str(tmp_path / "exp"),
             ],
         )
         assert code == 0
         assert len(configs) == 3
         for config in configs:
-            assert config.algorithm is Algorithm.GRADIENT_DESCENT
+            assert config.algorithm is Algorithm.DUAL_AVERAGING
             assert config.max_iters == 7
             assert config.step_size == SolverConfig().step_size
 
@@ -789,7 +814,7 @@ class TestAlgorithmsAtDefaults:
         for algo in Algorithm:
             args.algorithm = algo.value
             fit = tailopt.cli._fit(train, args, "superquantile", 0.9)
-            if algo not in (Algorithm.GRADIENT_DESCENT, Algorithm.LBFGS):
+            if algo is not Algorithm.LBFGS:
                 assert fit["termination"] != Termination.F_TOL.value, algo
             tail[algo] = superquantile(batch_losses(LinearLeastSquares(), train, fit["weights"]), 0.9)
         for algo, value in tail.items():

@@ -49,6 +49,11 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(grad_tol=-1e-3)
 
+    def test_gradient_descent_is_not_an_algorithm(self):
+        with pytest.raises(ValueError):
+            SolverConfig(algorithm="gradient_descent")
+        assert [a.value for a in Algorithm] == ["subgradient", "dual_averaging", "lbfgs"]
+
     def test_start_point_resolution(self):
         assert np.array_equal(SolverConfig(initial_point=np.zeros(3)).start_point(), np.zeros(3))
         x0 = np.array([1.0, 2.0])
@@ -268,58 +273,28 @@ class TestDualAveraging:
 
 
 class TestGradientDescent:
-    def test_quadratic_single_step_contraction(self):
-        oracle, _, _ = quadratic_oracle(np.eye(1), np.zeros(1))
-        cfg = SolverConfig(
-            algorithm="gradient_descent",
-            max_iters=200,
-            grad_tol=1e-8,
-            f_tol=0.0,
-            step_size=1.0,
-            initial_point=np.array([5.0]),
-        )
-        r = run_solver(oracle, cfg)
-        assert r.termination is Termination.GRAD_TOL
-        assert len(r.objective_trace) <= 200
+    """L-BFGS's gradient steps: with empty memory, at the first iterate and on
+    the retry after a failed quasi-Newton search, it searches along -g from
+    the unit trial step."""
 
     def test_zero_gradient_start(self):
         oracle, _, _ = quadratic_oracle(np.eye(2), np.zeros(2))
         r = run_solver(
             oracle, SolverConfig(
-                algorithm="gradient_descent", max_iters=10,
+                algorithm="lbfgs", max_iters=10,
                 initial_point=np.zeros(2),
             )
         )
         assert r.termination is Termination.GRAD_TOL
         assert len(r.objective_trace) == 1
 
-    def test_monotone_trace_and_lbfgs_agreement(self):
-        ds, exact, smooth = tail_toy()
-        gd = run_solver(
-            smooth,
-            SolverConfig(
-                algorithm="gradient_descent", max_iters=4000, grad_tol=1e-9, f_tol=0.0,
-                initial_point=np.zeros(5)
-            ),
-        )
-        diffs = np.diff(gd.objective_trace)
-        assert (diffs <= 1e-14).all()
-        ref = run_solver(
-            smooth, SolverConfig(
-                algorithm="lbfgs", max_iters=500, grad_tol=1e-8, f_tol=0.0,
-                initial_point=np.zeros(5),
-            )
-        )
-        assert abs(gd.objective_trace.min() - ref.objective_trace.min()) <= 1e-6
-
     def test_accepted_trial_is_not_evaluated_again(self):
-        # f = |w|^2/2 with step 1 lands on the minimizer in one trial; every
-        # oracle call is then a recorded iterate.
+        # f = |w|^2/2: the unit step along -g lands on the minimizer in one
+        # trial; every oracle call is then a recorded iterate.
         oracle, _, _ = quadratic_oracle(np.eye(2), np.zeros(2))
         cfg = SolverConfig(
-            algorithm="gradient_descent",
+            algorithm="lbfgs",
             max_iters=10,
-            step_size=1.0,
             initial_point=np.array([3.0, -4.0]),
         )
         r = run_solver(oracle, cfg)
@@ -327,29 +302,38 @@ class TestGradientDescent:
         assert r.oracle_calls == len(r.objective_trace) == 2
 
     def test_line_search_failure_on_adversarial_oracle(self):
-        # The reported gradient points away from descent: no trial step helps,
-        # and the search gives up after its 51 trials.
-        oracle = lambda w: (float(w[0]), np.array([-1.0]))
+        # f = w^2/2 for w > 0 and |w| below, with the gradient reported as 1
+        # at w <= 0.  The unit step from 2 lands on 0 and stores the pair
+        # s = -2, y = -1, so the quasi-Newton direction there is -2.  Every
+        # trial along it, and then along -g, raises f: both searches give up
+        # after their 51 trials.
+        def oracle(w):
+            x = float(w[0])
+            return (0.5 * x * x, np.array([x])) if x > 0.0 else (abs(x), np.array([1.0]))
+
+        rec = RecordingOracle(oracle)
         cfg = SolverConfig(
-            algorithm="gradient_descent",
+            algorithm="lbfgs",
             max_iters=10,
             grad_tol=0.0,
             f_tol=0.0,
-            step_size=1.0,
-            initial_point=np.array([0.0]),
+            initial_point=np.array([2.0]),
         )
-        r = run_solver(oracle, cfg)
+        r = run_solver(rec, cfg)
         assert r.termination is Termination.LINE_SEARCH_FAILURE
-        assert r.oracle_calls == 1 + 51
+        assert r.oracle_calls == 2 + 51 + 51
+        assert [float(rec.points[k][0]) for k in (1, 2, 53)] == [0.0, -2.0, -1.0]
+        assert list(r.objective_trace) == [2.0, 0.0]
 
     def test_f_tol_stall_detection(self):
-        oracle, _, _ = quadratic_oracle(np.eye(1), np.zeros(1))
+        # f = 1e-9 w: each unit step along -g gains 1e-18, far below f_tol,
+        # and the zero curvature pairs are discarded.
+        oracle = lambda w: (1e-9 * float(w[0]), np.array([1e-9]))
         cfg = SolverConfig(
-            algorithm="gradient_descent",
+            algorithm="lbfgs",
             max_iters=1000,
             grad_tol=0.0,
             f_tol=1e-6,
-            step_size=1e-12,
             initial_point=np.array([1.0]),
         )
         r = run_solver(oracle, cfg)
@@ -447,6 +431,7 @@ class TestLbfgs:
                 )
             )
             assert r.termination in (Termination.GRAD_TOL, Termination.NO_PROGRESS)
+            assert (np.diff(r.objective_trace) <= 0.0).all()
             calls += r.oracle_calls
         assert calls <= 4000
 
@@ -454,35 +439,31 @@ class TestLbfgs:
 def ray_oracle(value_at):
     """Recorded 1-D oracle with value ``value_at(w)`` and gradient -1 everywhere.
 
-    From x = 0, gradient descent searches along d = +1 with slope -1, so each
-    trial point equals its trial step.
+    From x = 0, L-BFGS's first search runs along d = -g = +1 with slope -1, so
+    each trial point equals its trial step.
     """
     return RecordingOracle(lambda w: (value_at(float(w[0])), np.array([-1.0])))
 
 
 def descend_once(oracle):
-    """One gradient-descent step from x = 0 with trial step 1."""
+    """L-BFGS's first step from x = 0: a gradient step from trial step 1."""
     run_solver(
         oracle,
         SolverConfig(
-            algorithm="gradient_descent", max_iters=2, grad_tol=0.0, f_tol=0.0,
-            step_size=1.0, initial_point=np.zeros(1),
+            algorithm="lbfgs", max_iters=2, grad_tol=0.0, f_tol=0.0, initial_point=np.zeros(1)
         ),
     )
 
 
 class TestLineSearch:
-    @pytest.mark.parametrize("algo", ["gradient_descent", "lbfgs"])
+    @pytest.mark.parametrize("algo", ["lbfgs"])
     def test_quadratic_accepts_the_interpolated_minimiser(self, algo):
         # f = 2 x^2 from x = 1: the unit step along -g = -4 lands on -3 and is
         # rejected; the quadratic through f(0) = 2, slope -16 and f(1) = 18 is
         # f itself, so the second trial is its minimiser t = 1/4, x = 0.
         rec = RecordingOracle(lambda w: (2.0 * float(w @ w), 4.0 * w))
         r = run_solver(
-            rec,
-            SolverConfig(
-                algorithm=algo, max_iters=10, step_size=1.0, initial_point=np.array([1.0])
-            ),
+            rec, SolverConfig(algorithm=algo, max_iters=10, initial_point=np.array([1.0]))
         )
         assert [float(x[0]) for x in rec.points] == [1.0, -3.0, 0.0]
         assert r.termination is Termination.GRAD_TOL
@@ -506,14 +487,14 @@ class TestLineSearch:
         descend_once(rec)
         assert [float(x[0]) for x in rec.points] == [0.0, 1.0, 0.5, 0.25]
 
-    @pytest.mark.parametrize("algo", ["gradient_descent", "lbfgs"])
+    @pytest.mark.parametrize("algo", ["lbfgs"])
     def test_step_that_leaves_x_unchanged_stops_the_run(self, algo):
         # At x = 1 the step 1e-20 rounds away, so the accepted trial is x again.
         rec = RecordingOracle(lambda w: (1.0 + 1e-20 * float(w[0]), np.array([1e-20])))
         r = run_solver(
             rec,
             SolverConfig(
-                algorithm=algo, max_iters=50, grad_tol=0.0, f_tol=0.0, step_size=1.0,
+                algorithm=algo, max_iters=50, grad_tol=0.0, f_tol=0.0,
                 initial_point=np.array([1.0]),
             ),
         )
@@ -522,14 +503,14 @@ class TestLineSearch:
         assert list(r.objective_trace) == [1.0]
         assert np.array_equal(r.solution, [1.0])
 
-    @pytest.mark.parametrize("algo", ["gradient_descent", "lbfgs"])
+    @pytest.mark.parametrize("algo", ["lbfgs"])
     def test_step_that_moves_x_but_ties_f_goes_on(self, algo):
         # At x = 0 the same step moves x while f stays 1.0 to the last bit.
         rec = RecordingOracle(lambda w: (1.0 + 1e-20 * float(w[0]), np.array([1e-20])))
         r = run_solver(
             rec,
             SolverConfig(
-                algorithm=algo, max_iters=5, grad_tol=0.0, f_tol=0.0, step_size=1.0,
+                algorithm=algo, max_iters=5, grad_tol=0.0, f_tol=0.0,
                 initial_point=np.array([0.0]),
             ),
         )
@@ -564,7 +545,6 @@ class TestSharedContract:
         runs = [
             ("subgradient", exact),
             ("dual_averaging", exact),
-            ("gradient_descent", smooth),
             ("lbfgs", smooth),
         ]
         for algo, oracle in runs:
