@@ -30,7 +30,7 @@ __all__ = [
 
 class EvaluationError(RuntimeError):
     """An oracle evaluation failed: a loss or gradient came out non-finite, or
-    the dual weight step lost its bracket at an extreme loss-to-mu ratio."""
+    a dual weight step lost its root to rounding at an extreme loss-to-mu ratio."""
 
 
 class Penalty(str, Enum):
@@ -133,7 +133,7 @@ def check_dual_weights(q, cap: float, sum_tol: float = 1e-10, box_tol: float = 1
     """
     q = np.asarray(q, dtype=float)
     total = float(q.sum())
-    if abs(total - 1.0) > sum_tol:
+    if not abs(total - 1.0) <= sum_tol:  # a NaN weight fails here
         raise ValueError(f"dual weights sum to {total!r}, expected 1 within {sum_tol}")
     lo = float(q.min())
     hi = float(q.max())
@@ -164,7 +164,10 @@ def _margins(data: Dataset, w) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.shape != (data.d,):
         raise ValueError(f"parameter vector has shape {w.shape}, expected ({data.d},)")
-    return data._column_major @ w
+    # A margin that overflows gives a non-finite loss or slope, which raises
+    # naming its sample, so numpy need not warn first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return data._column_major @ w
 
 
 def _all_finite(values: np.ndarray) -> bool:
@@ -176,7 +179,8 @@ def _all_finite(values: np.ndarray) -> bool:
 
 
 def _losses(loss: MarginLoss, data: Dataset, z: np.ndarray) -> np.ndarray:
-    values = np.asarray(loss.value(z, data.targets), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.asarray(loss.value(z, data.targets), dtype=float)
     if not _all_finite(values):
         bad = np.flatnonzero(~np.isfinite(values))[0]
         raise EvaluationError(f"non-finite loss value at sample {int(bad)}")

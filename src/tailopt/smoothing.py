@@ -8,15 +8,17 @@ space is the q_mu-weighted combination of per-sample gradients.
 
 Two penalties are supported:
 
-* Euclidean, d(q) = 0.5 * ||q - e/n||^2.  The maximizer is recovered from the
-  scalar dual multiplier lambda via a three-way clip of (u - lambda)/mu with
-  u = L + mu/n.  The dual derivative
+* Euclidean, d(q) = 0.5 * ||q - e/n||^2.  The maximizer is the three-way
+  clip of (u - lambda)/mu with u = L + mu/n at the root lambda of the dual
+  derivative
 
-      theta'(lambda) = 1 - sum_i clip((u_i - lambda)/mu, 0, cap)
+      theta'(lambda) = 1 - sum_i clip((u_i - lambda)/mu, 0, cap),
 
-  is nondecreasing, continuous and piecewise affine with kinks at
-  {u_i} and {u_i - mu*cap}, so the root is bracketed by two adjacent
-  breakpoints and found by one exact affine interpolation.
+  which is nondecreasing, continuous and piecewise affine with kinks at
+  {u_i} and {u_i - mu*cap}.  The root is bracketed by two adjacent
+  breakpoints and found by one exact affine interpolation; on that piece
+  each coordinate is capped, zero or affine in lambda, and the affine ones
+  share the mass the capped ones leave.
 
 * Entropic, d(q) = log(n) + sum_i q_i log q_i.  The maximizer is the capped
   softmax q_i = min(cap, c * exp(L_i / mu)); the number of capped coordinates
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _NONFINITE, Dataset, EvaluationError, MarginLoss, Penalty, RiskParams
-from .core import _all_finite, _as_loss_vector, _oracle, _support
+from .core import _all_finite, _as_loss_vector, _oracle, _support, check_dual_weights
 # The oracle's layer functions, kept as attributes of this module: the
 # benchmark's traced runs rebind them here (bench/workloads.py).
 from .core import batch_losses, jacobian_transpose_apply  # noqa: F401
@@ -70,11 +72,9 @@ class SmoothedOracleOutput:
     """Maximizer of the penalized dual problem at one loss vector.
 
     ``value`` is the smoothed objective weights @ losses - mu * penalty_value,
-    ``lam`` the optimal scalar multiplier of the sum constraint.  The Euclidean
-    routine adds -lam * (sum(weights) - 1), which is zero up to rounding and
-    makes the value the dual function at ``lam`` (see
-    :func:`smoothed_weights_euclidean`).  ``support`` holds the ascending
-    indices of the nonzero weights, or is None when all of them are nonzero.
+    ``lam`` the optimal scalar multiplier of the sum constraint.  ``support``
+    holds the ascending indices of the nonzero weights, or is None when all of
+    them are nonzero.
     """
 
     value: float
@@ -131,8 +131,7 @@ def smoothed_weights_euclidean(losses, p: float, mu: float) -> SmoothedOracleOut
     m = uc.size
     us = np.sort(uc)
     # Losses near the float range overflow the prefix sums, which then fail
-    # the bracket check, and a loss-to-mu ratio past it overflows a quotient
-    # (u - lam) / mu, which the clip takes to the cap; numpy need not warn.
+    # the bracket check, or the interpolation for lam; numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
         pre = np.concatenate(([0.0], np.cumsum(us)))
         bps = np.unique(np.concatenate((uc, uc - mu * cap)))
@@ -154,31 +153,30 @@ def smoothed_weights_euclidean(losses, p: float, mu: float) -> SmoothedOracleOut
             raise _out_of_range("Euclidean dual derivative not bracketed", L, mu)
         a, b = bps[b_idx - 1], bps[b_idx]
         ta, tb = theta[b_idx - 1], theta[b_idx]
-        if abs(ta) <= 1e-12:
-            lam = float(a)
-        else:
-            # theta is affine between adjacent breakpoints: interpolation is exact.
-            lam = float(a - ta * (b - a) / (tb - ta))
-
-        qc = np.clip((uc - lam) / mu, 0.0, cap)
-        drift = float(qc.sum()) - 1.0
-        if abs(drift) > 5e-12:
-            # One Newton correction on the active affine piece, then re-clip.
-            n_mid = int(np.count_nonzero((uc - mu * cap <= lam) & (lam <= uc)))
-            if n_mid > 0:
-                lam += drift * mu / n_mid
-                qc = np.clip((uc - lam) / mu, 0.0, cap)
+        # theta is affine between adjacent breakpoints: interpolation is exact.
+        lam = float(a - ta * (b - a) / (tb - ta))
+        top = uc - mu * cap >= b
+    # On [a, b] the rest, the mid set, share the mass the capped coordinates
+    # leave: offsets (L_i - L_ref)/mu to their largest loss plus one shift, so
+    # the weights sum to 1 whatever rounding lam carries.  Rounding that moved
+    # the bracket or merged breakpoints shows as weights off the simplex.
+    mid = (uc > a) & ~top
+    qc = cap * top
+    Lm = L[idx[mid]]
+    if Lm.size:
+        d = (Lm - Lm.max()) / mu
+        d += (1.0 - np.count_nonzero(top) * cap - d.sum()) / d.size
+        qc[mid] = d
+    try:
+        check_dual_weights(qc, cap)
+    except ValueError:
+        raise _out_of_range("Euclidean weights off the capped simplex", L, mu) from None
     q = np.zeros(n)
     q[idx] = qc
     support = idx[qc != 0.0]
     # Each of the n - m zero weights contributes (1/n)^2.
     penalty = float(0.5 * (np.sum((qc - 1.0 / n) ** 2) + (n - m) / n**2))
-    # q maximizes the Lagrangian q @ L - mu*d(q) - lam*(sum q - 1) over the box
-    # at this lam, and that dual function is stationary at the optimal lam, so
-    # its value moves only to second order with a rounding error in lam.  The
-    # plain q @ L - mu*d(q) moves by lam times the drift of sum q, and one ulp
-    # of lam already moves sum q by n_mid * ulp(lam) / mu.
-    value = float(q @ L - mu * penalty - lam * (float(qc.sum()) - 1.0))
+    value = float(q @ L - mu * penalty)
     return SmoothedOracleOutput(
         value=value,
         weights=q,

@@ -104,7 +104,7 @@ class SolverConfig:
         self.algorithm = Algorithm(self.algorithm)
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.grad_tol < 0.0 or self.f_tol < 0.0:
+        if not (self.grad_tol >= 0.0 and self.f_tol >= 0.0):
             raise ValueError("grad_tol and f_tol must be nonnegative")
         if isinstance(self.step_size, str):
             if self.step_size != "auto":
@@ -149,34 +149,41 @@ def tune_initial_step(oracle: Oracle, x0, f0: float, g0) -> float:
     the largest one.  For an oracle that is not convex along the ray the
     result can differ from a full scan of the grid from the top.
     """
+    return _tune(oracle, x0, f0, g0)[0]
+
+
+def _tune(oracle: Oracle, x0, f0: float, g0) -> tuple[float, tuple[float, np.ndarray] | None]:
+    """:func:`tune_initial_step`, with the oracle's output at x0 - step * g0,
+    or None when the returned step was not evaluated."""
     x0 = np.asarray(x0, dtype=float)
     g0 = np.asarray(g0, dtype=float)
     base = 1.0 / (1.0 + float(np.linalg.norm(g0)))
-    lo, hi = -21, 21
+    lo, hi, at_lo = -21, 21, None
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        f_trial, _ = oracle(x0 - (base * 2.0**mid) * g0)
+        f_trial, g_trial = oracle(x0 - (base * 2.0**mid) * g0)
         if np.isfinite(f_trial) and f_trial < f0:
-            lo = mid
+            lo, at_lo = mid, (f_trial, g_trial)
         else:
             hi = mid
     if lo == -21:
         warnings.warn("no decreasing trial step found; returning smallest grid step", TuneStepWarning)
-        return base * 2.0**-20
-    return base * 2.0**lo
+        return base * 2.0**-20, None
+    return base * 2.0**lo, at_lo
 
 
 def _step_or_tune(
     oracle: Oracle, x: np.ndarray, f: float, g: np.ndarray, config: SolverConfig
-) -> float:
+) -> tuple[float, tuple[float, np.ndarray] | None]:
     """The configured step, or the step tuned at ``x`` when it is ``"auto"``.
 
     ``f`` and ``g`` are the oracle's output at ``x``, so tuning spends no call
-    on that point again.
+    on that point again.  The second item is the oracle's output at
+    x - step * g when the tuner evaluated it, and None otherwise.
     """
     if isinstance(config.step_size, str):
-        return tune_initial_step(oracle, x, f, g)
-    return config.step_size
+        return _tune(oracle, x, f, g)
+    return config.step_size, None
 
 
 def _backtrack(
@@ -212,14 +219,19 @@ def _backtrack(
 
 
 def _subgradient(oracle: Oracle, x: np.ndarray, config: SolverConfig) -> Steps:
-    """Fixed-schedule subgradient descent, step a / sqrt(k + 1)."""
-    alpha = None
-    for k in itertools.count():
-        f, g = oracle(x)
+    """Fixed-schedule subgradient descent, step a / sqrt(k + 1).
+
+    The first step goes to x - a * g, the point where a tuned step a was
+    found, so the tuner's evaluation there serves as the second iterate's.
+    """
+    f, g = oracle(x)
+    yield x, f, g
+    alpha, tuned = _step_or_tune(oracle, x, f, g, config)
+    for k in itertools.count(1):
+        x = x - (alpha / math.sqrt(k)) * g
+        f, g = tuned or oracle(x)
+        tuned = None
         yield x, f, g
-        if alpha is None:
-            alpha = _step_or_tune(oracle, x, f, g, config)
-        x = x - (alpha / math.sqrt(k + 1)) * g
 
 
 def _dual_averaging(oracle: Oracle, x0: np.ndarray, config: SolverConfig) -> Steps:
@@ -239,7 +251,7 @@ def _dual_averaging(oracle: Oracle, x0: np.ndarray, config: SolverConfig) -> Ste
         yield x, f, g
         gnorm = float(np.linalg.norm(g))
         if a is None:
-            a = 1.0 / (_step_or_tune(oracle, x0, f, g, config) * gnorm)
+            a = 1.0 / (_step_or_tune(oracle, x0, f, g, config)[0] * gnorm)
         s = s + g / gnorm
         x = x0 - s / (a * math.sqrt(k + 1))
 
@@ -308,8 +320,9 @@ def run_solver(oracle: Oracle, config: SolverConfig) -> SolverResult:
     """Minimize with the method named by ``config.algorithm``.
 
     Raises :class:`EvaluationError` at the first non-finite value or gradient
-    among the yielded iterates; its ``objective_trace`` attribute holds the
-    objectives recorded before it.
+    among the yielded iterates, and passes on one that the oracle raises, at
+    an iterate or a trial point.  Either way its ``objective_trace``
+    attribute holds the objectives recorded before it.
     """
     calls = 0
 
@@ -328,13 +341,14 @@ def run_solver(oracle: Oracle, config: SolverConfig) -> SolverResult:
     while True:
         try:
             x, f, g = next(steps)
+            if not (np.isfinite(f) and np.isfinite(g).all()):
+                raise EvaluationError(f"non-finite oracle output at iteration {len(trace)}")
         except StopIteration as stop:
             termination = stop.value
             break
-        if not (np.isfinite(f) and np.isfinite(g).all()):
-            err = EvaluationError(f"non-finite oracle output at iteration {len(trace)}")
+        except EvaluationError as err:
             err.objective_trace = trace
-            raise err
+            raise
         trace.append(f)
         if f <= best_f:
             best_f, best_x = f, x.copy()

@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 from scipy.optimize import linprog
 
-from tailopt.core import Dataset
+from tailopt.core import Dataset, EvaluationError
 from tailopt.smoothing import SmoothedOracleOutput
 
 
@@ -424,13 +424,18 @@ def scan_initial_step(oracle, x0, f0: float, g0) -> float:
     decreases the objective, found by trying every step from the largest
     down; the smallest grid step if none does.  Reference for
     ``tune_initial_step``, which needs no scan when f is convex along the ray.
+    A step where the oracle raises :class:`EvaluationError` has no value and
+    so does not decrease it, like one with a non-finite value.
     """
     x0 = np.asarray(x0, dtype=float)
     g0 = np.asarray(g0, dtype=float)
     base = 1.0 / (1.0 + float(np.linalg.norm(g0)))
     for k in range(20, -21, -1):
         alpha = base * 2.0**k
-        f_trial, _ = oracle(x0 - alpha * g0)
+        try:
+            f_trial, _ = oracle(x0 - alpha * g0)
+        except EvaluationError:
+            continue
         if np.isfinite(f_trial) and f_trial < f0:
             return alpha
     return base * 2.0**-20

@@ -251,6 +251,38 @@ class TestTrain:
         assert err.startswith("error: Euclidean dual derivative not bracketed")
         assert "loss-to-mu ratio" in err
 
+    def test_tiny_mu_keeps_euclidean_weights_in_the_simplex(self, tmp_path, capsys, monkeypatch):
+        # mu = 1e-9 drives loss/mu to about 1e9-1e10, where the weights of a
+        # clip at a rounded multiplier drift off the simplex by about 1e-6.
+        sums, ratios = [], []
+        weights = tailopt.smoothing.smoothed_weights_euclidean
+
+        def recorded(losses, p, mu):
+            out = weights(losses, p, mu)
+            sums.append(float(out.weights.sum()))
+            ratios.append(float(np.max(np.abs(losses))) / mu)
+            return out
+
+        monkeypatch.setattr(tailopt.smoothing, "smoothed_weights_euclidean", recorded)
+        train = tmp_path / "train.csv"
+        run_cli(
+            capsys,
+            [
+                "gen-data", "--n", "200", "--d", "5", "--rank", "3", "--test-n", "50",
+                "--out-train", str(train), "--out-test", str(tmp_path / "test.csv"),
+            ],
+        )
+        code, _, _ = run_cli(
+            capsys,
+            [
+                "train", "--data", str(train), "--out", str(tmp_path / "m.json"),
+                "--mu", "1e-9", "--max-iters", "20",
+            ],
+        )
+        assert code == 0
+        assert min(ratios) > 1e9
+        assert max(abs(s - 1.0) for s in sums) <= 1e-12
+
     def test_lost_entropic_cap_count_exits_solver_error(self, tmp_path, capsys, monkeypatch):
         # NaN tail ratios leave no cap count feasible, as rounding could at an
         # extreme loss-to-mu ratio.

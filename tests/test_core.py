@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from tailopt.core import (
     jacobian_transpose_apply,
 )
 from tailopt.models import LinearLeastSquares, LinearLogistic
+from tailopt.smoothing import smoothed_oracle
 from tailopt.superquantile import exact_oracle
 
 from helpers import CountingLoss, random_lsq_dataset, sample_gradient
@@ -121,6 +124,10 @@ class TestCheckDualWeights:
         with pytest.raises(ValueError, match="below"):
             check_dual_weights(np.array([1.2, -0.2]), cap=2.0)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="sum"):
+            check_dual_weights(np.array([0.5, np.nan]), cap=1.0)
+
 
 class TestBatchLosses:
     def test_zero_parameters_give_half_y_squared(self):
@@ -177,6 +184,30 @@ class TestBatchLosses:
         ds = Dataset(np.ones((2, 1)), np.zeros(2))
         values = batch_losses(LinearLeastSquares(), ds, [1.5e154])
         assert np.isfinite(values).all() and values.min() > 1e308
+
+
+class TestOverflowingLosses:
+    """Margins or losses that overflow raise EvaluationError with no numpy
+    warning first, so a caller that turns every warning into an error still
+    gets the EvaluationError."""
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda ds, w: batch_losses(LinearLeastSquares(), ds, w),
+            lambda ds, w: exact_oracle(LinearLeastSquares(), ds, w, 0.9),
+            lambda ds, w: smoothed_oracle(LinearLeastSquares(), ds, w, RiskParams(p=0.9, mu=1.0)),
+        ],
+        ids=["batch_losses", "exact_oracle", "smoothed_oracle"],
+    )
+    @pytest.mark.parametrize("scale", [1e200, 1e308])
+    def test_raise_without_warning(self, evaluate, scale):
+        # 1e200 overflows the squared loss, 1e308 already the margins.
+        ds = random_lsq_dataset(3, n=20, d=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match="non-finite loss value"):
+                evaluate(ds, np.full(4, scale))
 
 
 class TestJacobianTransposeApply:

@@ -63,8 +63,8 @@ def dual_value(out) -> float:
 
     The sorting references report q @ L - mu*d(q), which moves by lam times
     the drift of sum q (up to about 5e-12); subtracting lam * (sum q - 1)
-    removes that, as the Euclidean routine does.  The entropic routine's
-    weights sum to 1 within a few ulp, so its value needs no such term.
+    removes that.  The routines under test need no such term: their weights
+    sum to 1 within a few ulp.
     """
     return out.value - out.lam * (float(out.weights.sum()) - 1.0)
 
@@ -190,6 +190,12 @@ class TestEuclideanSubroutine:
             smoothed_weights_euclidean([1e17, -2e16, 5e16], 0.1, 1e-3)
 
 
+    def test_weights_off_the_simplex_are_an_evaluation_error(self):
+        # At loss/mu = 1e17 the window mu*cap below 5e16 rounds away, so 5e16
+        # counts as capped beside 1e17, and the capped mass exceeds 1.
+        with pytest.raises(EvaluationError, match=r"off the capped simplex at loss-to-mu ratio 1e\+17"):
+            smoothed_weights_euclidean([1e17, 3e16, -2e16, 5e16], 0.7, 1.0)
+
     # pytest turns a RuntimeWarning into an error, so in the next two tests
     # numpy must not warn of the overflow that the step handles.
     def test_overflowing_quotient_clips_to_the_cap(self):
@@ -201,6 +207,39 @@ class TestEuclideanSubroutine:
     def test_overflowing_prefix_sums_raise_evaluation_error(self):
         with pytest.raises(EvaluationError, match=r"not bracketed at loss-to-mu ratio 1e\+308"):
             smoothed_weights_euclidean([1e308, 1e308, 0.0, 5.0], 0.5, 1.0)
+
+
+class TestEuclideanMassAtLargeLossToMuRatios:
+    """Losses |N(0, 1)| or Cauchy times a scale, at mu = 1: the weights stay in
+    the capped simplex to rounding, or the step raises."""
+
+    @staticmethod
+    def _draws(scale):
+        rng = np.random.default_rng(int(np.log10(scale)))
+        for draw in range(200):
+            n = int(rng.integers(2, 2000))
+            L = rng.standard_cauchy(n) if draw % 2 else np.abs(rng.standard_normal(n))
+            p = float(rng.choice([0.5, 0.9, 0.99]))
+            yield scale * L, p, 1.0 / (n * (1.0 - p))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6, 1e9, 1e12])
+    def test_weights_sum_to_one_to_rounding(self, scale):
+        for L, p, cap in self._draws(scale):
+            out = smoothed_weights_euclidean(L, p, 1.0)
+            check_dual_weights(out.weights, cap, sum_tol=1e-14)
+
+    @pytest.mark.parametrize("scale", [1e15, 1e18])
+    def test_weights_in_the_simplex_or_an_evaluation_error(self, scale):
+        raised = 0
+        for L, p, cap in self._draws(scale):
+            try:
+                out = smoothed_weights_euclidean(L, p, 1.0)
+            except EvaluationError as err:
+                assert "loss-to-mu ratio" in str(err)
+                raised += 1
+            else:
+                check_dual_weights(out.weights, cap)
+        assert 0 < raised < 200
 
 
 class TestThetaPrime:

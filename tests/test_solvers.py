@@ -49,6 +49,12 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(grad_tol=-1e-3)
 
+    @pytest.mark.parametrize("field", ["grad_tol", "f_tol"])
+    def test_nan_tolerance_rejected(self, field):
+        # NaN fails every comparison, so it would disable its stopping test.
+        with pytest.raises(ValueError, match="nonnegative"):
+            SolverConfig(**{field: float("nan")})
+
     def test_gradient_descent_is_not_an_algorithm(self):
         with pytest.raises(ValueError):
             SolverConfig(algorithm="gradient_descent")
@@ -206,6 +212,37 @@ class TestSubgradientMethod:
         with pytest.raises(EvaluationError) as err:
             run_solver(oracle, cfg)
         assert len(err.value.objective_trace) >= 1
+
+
+class TestOracleErrorsCarryTheTrace:
+    """An EvaluationError that the oracle raises leaves the driver with the
+    objectives recorded before it, as the driver's own non-finite check does."""
+
+    def test_at_the_first_iterate(self):
+        # A 1e200 target overflows the squared loss at the start w = 0.
+        ds = Dataset(np.ones((3, 1)), [1.0, 2.0, 1e200])
+        oracle = lambda w: exact_oracle(LinearLeastSquares(), ds, w, 0.5)
+        for algo in Algorithm:
+            with pytest.raises(EvaluationError, match="non-finite loss value at sample 2") as err:
+                run_solver(oracle, SolverConfig(algorithm=algo, initial_point=np.zeros(1)))
+            assert list(err.value.objective_trace) == []
+
+    @pytest.mark.parametrize("algo", list(Algorithm))
+    def test_at_a_later_point(self, algo):
+        # f = w^2/2 from w = 4 with step 1/4: the oracle fails once |w| < 1,
+        # at an iterate or, for L-BFGS, at its first line-search trial.
+        def oracle(w):
+            if abs(w[0]) < 1.0:
+                raise EvaluationError("no value below 1")
+            return 0.5 * float(w @ w), w.copy()
+
+        with pytest.raises(EvaluationError, match="no value below 1") as err:
+            run_solver(
+                oracle,
+                SolverConfig(algorithm=algo, step_size=0.25, f_tol=0.0, initial_point=np.full(1, 4.0)),
+            )
+        assert len(err.value.objective_trace) >= 1
+        assert err.value.objective_trace[0] == 8.0
 
 
 class TestDualAveraging:
@@ -620,6 +657,7 @@ class TestSharedContract:
         # f = w^2/2 from x0 = 1: the tuner tries the grid steps 2^k/2 for
         # k = 0, 10, 5, 2, 1 and returns k = 1, so two iterates cost x0, five
         # trials and x1; x0 is not evaluated a second time inside the tuner.
+        # The subgradient method's x1 is the k = 1 trial, not evaluated again.
         oracle = lambda w: (0.5 * float(w @ w), w.copy())
         r = run_solver(
             oracle,
@@ -628,7 +666,7 @@ class TestSharedContract:
             ),
         )
         assert len(r.objective_trace) == 2
-        assert r.oracle_calls == 7
+        assert r.oracle_calls == (6 if algo is Algorithm.SUBGRADIENT else 7)
 
     def test_smoothing_consistency_toward_exact_optimum(self):
         ds, exact, _ = tail_toy()
