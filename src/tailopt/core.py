@@ -101,6 +101,11 @@ class Dataset:
         return X
 
 
+def _check_level(p: float) -> None:
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"tail level must lie in [0, 1), got {p}")
+
+
 @dataclass(frozen=True)
 class RiskParams:
     """Objective configuration: tail level ``p``, smoothing scale ``mu``, penalty.
@@ -115,8 +120,7 @@ class RiskParams:
     penalty: Penalty = Penalty.EUCLIDEAN
 
     def __post_init__(self):
-        if not 0.0 <= self.p < 1.0:
-            raise ValueError(f"tail level p must satisfy 0 <= p < 1, got {self.p}")
+        _check_level(self.p)
         if self.mu is not None and not self.mu > 0.0:
             raise ValueError(f"smoothing scale mu must be positive, got {self.mu}")
         object.__setattr__(self, "penalty", Penalty(self.penalty))
@@ -187,14 +191,13 @@ def _losses(loss: MarginLoss, data: Dataset, z: np.ndarray) -> np.ndarray:
     return values
 
 
-_NONFINITE = "losses contain non-finite entries"
-
-
-def _as_loss_vector(losses) -> np.ndarray:
-    """``losses`` as a float vector; anything but a nonempty 1-D one is rejected."""
+def _loss_vector(losses) -> np.ndarray:
+    """``losses`` as a float vector; anything but a nonempty, finite 1-D one is rejected."""
     L = np.asarray(losses, dtype=float)
     if L.ndim != 1 or L.size == 0:
         raise ValueError(f"losses must be a nonempty 1-D vector, got shape {L.shape}")
+    if not _all_finite(L):
+        raise ValueError("losses contain non-finite entries")
     return L
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, EvaluationError, _all_finite
+from .core import Dataset, EvaluationError, _all_finite, _check_level
 from .superquantile import _order_statistic
 
 __all__ = [
@@ -274,8 +274,7 @@ def residual_quantile_report(w, data: Dataset, p_levels) -> QuantileReport:
     w = np.asarray(w, dtype=float)
     levels = sorted(float(p) for p in p_levels)
     for p in levels:
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"report levels must lie in [0, 1), got {p}")
+        _check_level(p)
     with np.errstate(over="ignore", invalid="ignore"):
         r2 = (data.targets - data.features @ w) ** 2
     if not _all_finite(r2):

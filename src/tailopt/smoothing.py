@@ -49,8 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _NONFINITE, Dataset, EvaluationError, MarginLoss, Penalty, RiskParams
-from .core import _all_finite, _as_loss_vector, _oracle, _support, check_dual_weights
+from .core import Dataset, EvaluationError, MarginLoss, Penalty, RiskParams
+from .core import _check_level, _loss_vector, _oracle, _support, check_dual_weights
 # The oracle's layer functions, kept as attributes of this module: the
 # benchmark's traced runs rebind them here (bench/workloads.py).
 from .core import batch_losses, jacobian_transpose_apply  # noqa: F401
@@ -85,14 +85,10 @@ class SmoothedOracleOutput:
 
 
 def _validate(losses, p: float, mu: float) -> np.ndarray:
-    L = _as_loss_vector(losses)
-    if not _all_finite(L):
-        raise ValueError(_NONFINITE)
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"tail level must lie in [0, 1), got {p}")
+    _check_level(p)
     if not mu > 0.0:
         raise ValueError(f"smoothing scale mu must be positive, got {mu}")
-    return L
+    return _loss_vector(losses)
 
 
 def _out_of_range(what: str, L: np.ndarray, mu: float) -> EvaluationError:

@@ -140,7 +140,9 @@ def tune_initial_step(oracle: Oracle, x0, f0: float, g0) -> float:
     decreases f and ``hi`` one whose step does not; neither end is evaluated,
     so the first trial is k = 0 and there are at most 6 trials.  It returns
     base * 2**lo, or, when no trial decreased f, emits a
-    :class:`TuneStepWarning` and returns the smallest grid step.
+    :class:`TuneStepWarning` and returns the smallest grid step.  A trial
+    where the oracle raises :class:`EvaluationError` does not decrease f; if
+    every trial raises, the last error is raised.
 
     This is the largest decreasing grid step whenever phi(a) = f(x0 - a*g0)
     is convex in a, as it is for the exact and smoothed superquantile of a
@@ -157,15 +159,23 @@ def _tune(oracle: Oracle, x0, f0: float, g0) -> tuple[float, tuple[float, np.nda
     or None when the returned step was not evaluated."""
     x0 = np.asarray(x0, dtype=float)
     g0 = np.asarray(g0, dtype=float)
-    base = 1.0 / (1.0 + float(np.linalg.norm(g0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = 1.0 / (1.0 + float(np.linalg.norm(g0)))
     lo, hi, at_lo = -21, 21, None
+    error, evaluated = None, False
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        f_trial, g_trial = oracle(x0 - (base * 2.0**mid) * g0)
+        try:
+            f_trial, g_trial = oracle(x0 - (base * 2.0**mid) * g0)
+            evaluated = True
+        except EvaluationError as err:
+            error, f_trial = err, math.nan
         if np.isfinite(f_trial) and f_trial < f0:
             lo, at_lo = mid, (f_trial, g_trial)
         else:
             hi = mid
+    if not evaluated:
+        raise error
     if lo == -21:
         warnings.warn("no decreasing trial step found; returning smallest grid step", TuneStepWarning)
         return base * 2.0**-20, None
@@ -195,15 +205,21 @@ def _backtrack(
     x + d.  After a rejected trial at step t with a finite value f_t, the next
     trial is the minimiser of the quadratic through f, ``slope`` and f_t,
     clipped to [0.1 t, 0.5 t] (Nocedal & Wright, *Numerical Optimization*,
-    section 3.5); after a non-finite value it is t / 2.  Returns the accepted
-    ``(x, f, g)``; ``LINE_SEARCH_FAILURE`` when all ``_MAX_TRIALS`` trials are
-    rejected, and ``NO_PROGRESS`` when the accepted point is bit-identical to
+    section 3.5); after a non-finite value or an :class:`EvaluationError` it
+    is t / 2.  Returns the accepted ``(x, f, g)``; ``LINE_SEARCH_FAILURE``
+    when all ``_MAX_TRIALS`` trials are rejected (the last error if all
+    raised), and ``NO_PROGRESS`` when the accepted point is bit-identical to
     ``x``, since the same search would then repeat at every later iteration.
     """
-    t = 1.0
+    t, error, evaluated = 1.0, None, False
     for _ in range(_MAX_TRIALS):
-        x_trial = x + t * d
-        f_trial, g_trial = oracle(x_trial)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_trial = x + t * d
+        try:
+            f_trial, g_trial = oracle(x_trial)
+            evaluated = True
+        except EvaluationError as err:
+            error, f_trial = err, math.nan
         if not np.isfinite(f_trial):
             t *= 0.5
         elif f_trial <= f + _ARMIJO_C * t * slope:
@@ -215,6 +231,8 @@ def _backtrack(
             # convex; a NaN from overflow falls to the lower clip.
             t_min = -0.5 * slope * t * t / (f_trial - f - slope * t)
             t = min(max(0.1 * t, t_min), 0.5 * t)
+    if not evaluated:
+        raise error
     return Termination.LINE_SEARCH_FAILURE
 
 
@@ -265,7 +283,7 @@ def _two_loop(g: np.ndarray, memory: deque[tuple[np.ndarray, np.ndarray, float]]
         alphas.append(a)
     if memory:
         s, yv, _ = memory[-1]
-        q *= float(s @ yv) / float(yv @ yv)
+        q *= (s @ yv) / (yv @ yv)  # numpy division: y @ y may underflow to 0
     for (s, yv, rho), a in zip(memory, reversed(alphas)):
         b = rho * float(yv @ q)
         q += (a - b) * s
@@ -277,35 +295,34 @@ def _lbfgs(oracle: Oracle, x: np.ndarray, config: SolverConfig) -> Steps:
 
     With empty memory, at the first iterate, the direction is -g, so the first
     step is a gradient step from a unit trial.  Curvature pairs with
-    s @ y <= 1e-12 * ||s|| ||y|| are discarded, and the search direction falls
-    back to -g whenever the two-loop output fails the descent test.  If the
-    line search rejects all its trials on a quasi-Newton direction, the memory
-    is cleared and the step retried once along -g before failure is reported.
-    ``config.step_size`` is not used.
+    s @ y <= 1e-12 * ||s|| ||y|| are discarded.  A quasi-Newton step fails when
+    its direction is not a descent direction or its line search rejects every
+    trial; the memory is then cleared and the step retried once along -g
+    before failure is reported.  ``config.step_size`` is not used.
     """
     memory: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=_LBFGS_MEMORY)
     f, g = oracle(x)
     while True:
         yield x, f, g
-        d = _two_loop(g, memory)
-        slope = float(g @ d)
-        used_memory = bool(memory)
-        if slope >= 0.0:
-            d = -g
-            slope = -float(g @ g)
-            used_memory = False
-        step = _backtrack(oracle, x, f, d, slope)
-        if step is Termination.LINE_SEARCH_FAILURE and used_memory:
+        step = Termination.LINE_SEARCH_FAILURE
+        if memory:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                d = _two_loop(g, memory)
+                slope = float(g @ d)
+            if slope < 0.0:
+                step = _backtrack(oracle, x, f, d, slope)
+        if step is Termination.LINE_SEARCH_FAILURE:
             memory.clear()
             step = _backtrack(oracle, x, f, -g, -float(g @ g))
         if isinstance(step, Termination):
             return step
         x_new, f_new, g_new = step
-        s = x_new - x
-        yv = g_new - g
-        sy = float(s @ yv)
-        if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
-            memory.append((s, yv, 1.0 / sy))
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = x_new - x
+            yv = g_new - g
+            sy = float(s @ yv)
+            if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
+                memory.append((s, yv, 1.0 / sy))
         x, f, g = x_new, f_new, g_new
 
 
@@ -320,9 +337,9 @@ def run_solver(oracle: Oracle, config: SolverConfig) -> SolverResult:
     """Minimize with the method named by ``config.algorithm``.
 
     Raises :class:`EvaluationError` at the first non-finite value or gradient
-    among the yielded iterates, and passes on one that the oracle raises, at
-    an iterate or a trial point.  Either way its ``objective_trace``
-    attribute holds the objectives recorded before it.
+    norm among the yielded iterates, and passes on one that the oracle raises
+    at an iterate or at every trial of a search.  Either way its
+    ``objective_trace`` attribute holds the objectives recorded before it.
     """
     calls = 0
 
@@ -341,7 +358,9 @@ def run_solver(oracle: Oracle, config: SolverConfig) -> SolverResult:
     while True:
         try:
             x, f, g = next(steps)
-            if not (np.isfinite(f) and np.isfinite(g).all()):
+            with np.errstate(over="ignore", invalid="ignore"):
+                gnorm = float(np.linalg.norm(g))
+            if not (math.isfinite(f) and math.isfinite(gnorm)):
                 raise EvaluationError(f"non-finite oracle output at iteration {len(trace)}")
         except StopIteration as stop:
             termination = stop.value
@@ -353,7 +372,7 @@ def run_solver(oracle: Oracle, config: SolverConfig) -> SolverResult:
         if f <= best_f:
             best_f, best_x = f, x.copy()
         best_hist.append(best_f)
-        if np.linalg.norm(g) <= config.grad_tol:
+        if gnorm <= config.grad_tol:
             termination = Termination.GRAD_TOL
         elif f_tol > 0.0 and len(best_hist) > _STALL_WINDOW and best_hist[0] - best_f <= f_tol:
             termination = Termination.F_TOL

@@ -5,14 +5,13 @@ subgradient of the superquantile objective obtained through its dual weights.
 
 Conventions.  The empirical p-quantile is the left-continuous generalized
 inverse of the empirical CDF: the k-th order statistic with k = ceil(n*p)
-(1-indexed), and the minimum for p = 0.  The superquantile is evaluated with
-the shifted-tail identity
-
-    sqt_p(L) = Q_p + (1 / (n(1-p))) * sum_i max(L_i - Q_p, 0),
-
-which for an empirical distribution agrees exactly with the average of the
-quantiles above level p.  Both computations use selection (no full sort), so
-they run in O(n).
+(1-indexed), and the minimum for p = 0.  The superquantile is the maximum of
+q @ L over the capped simplex {0 <= q_i <= 1/(n(1-p)), sum q = 1}
+(Rockafellar & Uryasev 2000).  One weight step attains it: the samples above
+the quantile take the cap and the tied ones share what mass is left, and the
+value is that q @ L.  :func:`superquantile`, :func:`exact_subgradient_weights`
+and :func:`exact_oracle` all return this value, bit for bit.  The step uses
+selection (no full sort), so it runs in O(n).
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _NONFINITE, Dataset, MarginLoss, _all_finite, _as_loss_vector, _oracle
+from .core import Dataset, MarginLoss, _check_level, _loss_vector, _oracle
 
 __all__ = [
     "ExactOracleOutput",
@@ -57,12 +56,9 @@ def quantile(losses, p: float) -> float:
     For p = 0 this is the minimum; otherwise the ceil(n*p)-th order statistic.
     No interpolation is performed.  Non-finite losses raise ``ValueError``.
     """
-    L = _as_loss_vector(losses)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"quantile level must lie in [0, 1], got {p}")
-    if not _all_finite(L):
-        raise ValueError(_NONFINITE)
-    return _order_statistic(L, p)
+    return _order_statistic(_loss_vector(losses), p)
 
 
 def _order_statistic(L: np.ndarray, p: float) -> float:
@@ -76,19 +72,11 @@ def _order_statistic(L: np.ndarray, p: float) -> float:
 def superquantile(losses, p: float) -> float:
     """Average of the empirical quantiles above level p (tail expectation).
 
-    Equals the mean at p = 0 and approaches the maximum as p -> 1.  Levels
-    p >= 1 are rejected; use ``max`` explicitly if that is what you want.
+    The exact weight step's value, bit for bit :func:`exact_oracle`'s; the mean
+    at p = 0 up to rounding.  Levels p >= 1 are rejected; use ``max`` for p = 1.
     """
-    L = _as_loss_vector(losses)
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"superquantile level must lie in [0, 1), got {p}")
-    if not _all_finite(L):
-        raise ValueError(_NONFINITE)
-    if p == 0.0:
-        return float(L.mean())
-    q = _order_statistic(L, p)
-    cap = 1.0 / (L.size * (1.0 - p))
-    return float(q + cap * np.sum(np.maximum(L - q, 0.0)))
+    _check_level(p)
+    return _tail_weights(_loss_vector(losses), p)[3]
 
 
 def _tail_weights(
@@ -118,11 +106,6 @@ def _tail_weights(
     return qv, None if S.size == n else S, qS, float(qS @ LS), n_tied
 
 
-def _check_level(p: float) -> None:
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"tail level must lie in [0, 1), got {p}")
-
-
 def exact_subgradient_weights(losses, p: float) -> ExactOracleOutput:
     """Dual weights realizing one canonical subgradient of the superquantile.
 
@@ -137,10 +120,8 @@ def exact_subgradient_weights(losses, p: float) -> ExactOracleOutput:
     the support alone, as :func:`exact_oracle` does, so both agree bit for
     bit.  Non-finite losses raise ``ValueError``, also at zero weight.
     """
-    L = _as_loss_vector(losses)
     _check_level(p)
-    if not _all_finite(L):
-        raise ValueError(_NONFINITE)
+    L = _loss_vector(losses)
     qv, S, qS, value, n_tied = _tail_weights(L, p)
     if S is None:
         weights = qS

@@ -514,6 +514,26 @@ class TestExperiment:
         for name in ("train.csv", "test.csv"):
             assert (tmp_path / "exp" / name).read_bytes() == (tmp_path / name).read_bytes()
 
+    def test_line_search_failure_exits_solver_error(self, tmp_path, capsys, monkeypatch):
+        # An oracle whose gradient -e_0 points uphill: every trial of the
+        # first search is rejected, so the first tail model fails.
+        def uphill(loss, data, w, params):
+            return float(w[0]), -np.eye(data.d)[0]
+
+        monkeypatch.setattr(tailopt.cli, "smoothed_oracle", uphill)
+        code, lines, err = run_cli(
+            capsys,
+            [
+                "experiment", "--seed", "0", "--n", "100", "--d", "4", "--rank", "2",
+                "--test-n", "20", "--max-iters", "5", "--out-dir", str(tmp_path / "exp"),
+            ],
+        )
+        assert code == 4
+        assert lines == []
+        assert "error: line search failed while training p0.5" in err.splitlines()
+        assert not (tmp_path / "exp" / "results.csv").exists()
+        assert_no_unreaped_child()
+
     FLAGS = ["--seed", "5", "--n", "300", "--d", "6", "--rank", "3", "--test-n", "80"]
 
     def _experiment(self, tmp_path, capsys):

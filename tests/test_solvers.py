@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,31 @@ class TestTuneInitialStep:
         assert step == pytest.approx(0.5 * 2.0**-20)
         assert len(oracle.points) == 5
 
+    def test_trial_that_raises_does_not_decrease(self):
+        # The quadratic case above with an oracle that raises past |w| > 2:
+        # the trials k = 10 and 5 raise, and the tuner still returns 1.0.
+        def oracle(w):
+            if abs(w[0]) > 2.0:
+                raise EvaluationError("no value past 2")
+            return 0.5 * float(w @ w), w.copy()
+
+        rec = RecordingOracle(oracle)
+        assert tune_initial_step(rec, np.array([1.0]), 0.5, np.array([1.0])) == 1.0
+        assert [float(x[0]) for x in rec.points] == [0.5, -1.0, 0.0]
+
+    def test_every_trial_raising_raises_the_last_error(self):
+        calls = []
+
+        def oracle(w):
+            calls.append(float(w[0]))
+            raise EvaluationError(f"no value at trial {len(calls)}")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match="no value at trial 5$"):
+                tune_initial_step(oracle, np.zeros(1), 1.0, np.ones(1))
+        assert len(calls) == 5
+
     def test_deterministic(self):
         ds, _, smooth = tail_toy()
         x0 = np.ones(5)
@@ -230,7 +257,7 @@ class TestOracleErrorsCarryTheTrace:
     @pytest.mark.parametrize("algo", list(Algorithm))
     def test_at_a_later_point(self, algo):
         # f = w^2/2 from w = 4 with step 1/4: the oracle fails once |w| < 1,
-        # at an iterate or, for L-BFGS, at its first line-search trial.
+        # at an iterate or, for L-BFGS, at every trial of its third search.
         def oracle(w):
             if abs(w[0]) < 1.0:
                 raise EvaluationError("no value below 1")
@@ -243,6 +270,74 @@ class TestOracleErrorsCarryTheTrace:
             )
         assert len(err.value.objective_trace) >= 1
         assert err.value.objective_trace[0] == 8.0
+
+
+class TestTrialsThatFailToEvaluate:
+    """An EvaluationError at a tuning or line-search trial rejects that trial;
+    only a search whose every trial raises ends the run with it."""
+
+    @staticmethod
+    def bounded_oracle(w):
+        # f = 5 w^2, with an oracle that raises past |w| > 1.5.  From w = 1,
+        # L-BFGS's unit trial lands on -9 and the tuner's k = 10, 5 and 2
+        # trials land past -2.5.
+        if abs(w[0]) > 1.5:
+            raise EvaluationError("no value past 1.5")
+        return 5.0 * float(w @ w), 10.0 * w
+
+    @pytest.mark.parametrize("algo", list(Algorithm))
+    def test_run_goes_on_past_a_trial_that_raises(self, algo):
+        r = run_solver(
+            self.bounded_oracle,
+            SolverConfig(algorithm=algo, max_iters=50, initial_point=np.ones(1)),
+        )
+        assert r.termination is not Termination.LINE_SEARCH_FAILURE
+        assert r.objective_trace.min() < 1e-2
+
+    def test_lbfgs_shortens_the_step_until_a_trial_evaluates(self):
+        # Trials at -9 and -4 raise and halve t; -1.5 evaluates and is
+        # rejected, and the interpolated t = 0.1 reaches the minimum 0.
+        rec = RecordingOracle(self.bounded_oracle)
+        calls = []
+
+        def counted(w):
+            calls.append(float(w[0]))
+            return rec(w)
+
+        r = run_solver(counted, SolverConfig(algorithm="lbfgs", initial_point=np.ones(1)))
+        assert calls == pytest.approx([1.0, -9.0, -4.0, -1.5, 0.0])
+        assert [float(x[0]) for x in rec.points] == pytest.approx([1.0, -1.5, 0.0])
+        assert r.termination is Termination.GRAD_TOL
+
+    def test_search_whose_every_trial_raises_ends_the_run_with_the_last_error(self):
+        calls = []
+
+        def oracle(w):
+            calls.append(float(w[0]))
+            if len(calls) > 1:
+                raise EvaluationError(f"no value at call {len(calls)}")
+            return 0.5 * float(w @ w), w.copy()
+
+        with pytest.raises(EvaluationError, match="no value at call 52$") as err:
+            run_solver(oracle, SolverConfig(algorithm="lbfgs", initial_point=np.ones(1)))
+        assert len(calls) == 1 + 51
+        assert list(err.value.objective_trace) == [0.5]
+
+
+class TestOverflowingGradient:
+    @pytest.mark.parametrize("algo", list(Algorithm))
+    def test_overflowing_gradient_norm_raises_without_warning(self, algo):
+        # Features near 1e160 give a finite gradient at w = 0 whose norm
+        # overflows; no method can step along it.
+        rng = np.random.default_rng(0)
+        X = np.hstack([1e160 * rng.standard_normal((30, 3)), np.ones((30, 1))])
+        ds = Dataset(X, rng.standard_normal(30))
+        params = RiskParams(p=0.9, mu=1000.0)
+        oracle = lambda w: smoothed_oracle(LinearLeastSquares(), ds, w, params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match="non-finite oracle output at iteration 0"):
+                run_solver(oracle, SolverConfig(algorithm=algo, initial_point=np.zeros(4)))
 
 
 class TestDualAveraging:
@@ -454,6 +549,47 @@ class TestLbfgs:
         )
         assert r.termination is Termination.LINE_SEARCH_FAILURE
         assert r.oracle_calls == 1 + 51  # no memory yet, so no steepest-descent retry
+
+    def test_direction_that_is_not_descent_falls_back_to_minus_g(self):
+        # From x = 0 (g = -1e-155) the first step accepts x = 1e-155, where
+        # g = 1.4e-154.  The pair's s @ y ~ 1.5e-309 makes 1 / (s @ y)
+        # overflow, and the two-loop direction comes out NaN: the memory is
+        # cleared and the step taken along -g, with no trial at a NaN point.
+        rec = RecordingOracle(
+            lambda w: (0.0, np.array([-1e-155])) if w[0] == 0.0
+            else (-1.0 - float(w[0]), np.array([1.4e-154]))
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = run_solver(
+                rec,
+                SolverConfig(
+                    algorithm="lbfgs", max_iters=3, grad_tol=0.0, f_tol=0.0,
+                    initial_point=np.zeros(1),
+                ),
+            )
+        assert [float(x[0]) for x in rec.points] == [0.0, 1e-155, 1e-155 - 1.4e-154]
+        assert r.termination is Termination.MAX_ITERS
+
+    def test_underflowing_curvature_pair_falls_back_to_minus_g(self):
+        # y = 1e-163: y @ y underflows to 0, so the two-loop scale
+        # (s @ y) / (y @ y) is inf, not a division error, and the step
+        # falls back to -g.
+        g1 = -1e-150 + 1e-163
+        rec = RecordingOracle(
+            lambda w: (0.0, np.array([-1e-150])) if w[0] == 0.0
+            else (-1.0 - float(w[0]), np.array([g1]))
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_solver(
+                rec,
+                SolverConfig(
+                    algorithm="lbfgs", max_iters=3, grad_tol=0.0, f_tol=0.0,
+                    initial_point=np.zeros(1),
+                ),
+            )
+        assert [float(x[0]) for x in rec.points] == [0.0, 1e-150, 1e-150 - g1]
 
     def test_tail_toys_take_few_calls_and_never_spin(self):
         # Backtracking by halving took 33,895 calls on these 30 runs, three of

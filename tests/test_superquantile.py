@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailopt.core import check_dual_weights
+from tailopt.core import Dataset, batch_losses, check_dual_weights
 from tailopt.models import LinearLeastSquares
 from tailopt.superquantile import (
     exact_oracle,
@@ -224,6 +224,22 @@ class TestExactSubgradientWeights:
 
 
 class TestExactOracle:
+    @pytest.mark.parametrize("p", [0.0, 0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("n, ties", [(1, False), (8, True), (300, False), (300, True)])
+    def test_superquantile_is_the_oracle_value_bit_for_bit(self, n, ties, p):
+        rng = np.random.default_rng(n)
+        loss = LinearLeastSquares()
+        if ties:
+            # Small integer features, targets and weights: the residuals repeat.
+            ds = Dataset(rng.integers(-2, 3, (n, 3)), rng.integers(-3, 4, n))
+            w = np.array([1.0, -1.0, 2.0])
+        else:
+            ds = random_lsq_dataset(n, n=n, d=3)
+            w = rng.standard_normal(3)
+        L = batch_losses(loss, ds, w)
+        assert (np.unique(L).size < n) == ties
+        assert superquantile(L, p) == exact_oracle(loss, ds, w, p)[0]
+
     def test_single_sample_any_level(self):
         ds = random_lsq_dataset(10, n=1, d=3)
         loss = LinearLeastSquares()
