@@ -1,4 +1,9 @@
-"""Shared domain types, the margin-loss contract and the one-pass oracle pipeline.
+"""Shared domain types, the margin-loss contract and the oracles' layer functions.
+
+Each oracle forms the margins ``X @ w`` once, takes the losses at them, finds
+the dual weights and applies the weighted Jacobian over the weights' support;
+:func:`batch_losses` then :func:`jacobian_transpose_apply` do the same
+arithmetic, bit for bit.
 
 The dense products ``X @ w`` and full-support ``X.T @ c`` run on a column-major
 copy of the features, about twice as fast on tall, narrow data; gathers of the
@@ -231,21 +236,6 @@ def _gradient(
             raise EvaluationError(f"non-finite gradient at sample {int(i)}")
         raise EvaluationError("non-finite gradient accumulation")
     return g
-
-
-def _oracle(loss: MarginLoss, data: Dataset, w, weigh) -> tuple[float, np.ndarray]:
-    """Value and gradient of a dual-weighted objective in one pass over the data.
-
-    ``weigh`` maps the checked loss vector to the value, the support of the
-    dual weights (the exact or a smoothed maximizer) and the weights on it, as
-    :func:`_gradient` takes them, so the gradient gathers the support without
-    searching the weights again.  The margins ``X @ w`` are formed once and
-    serve both the losses and the gradient; :func:`batch_losses` then
-    :func:`jacobian_transpose_apply` do the same arithmetic, bit for bit.
-    """
-    z = _margins(data, w)
-    value, support, qs = weigh(_losses(loss, data, z))
-    return value, _gradient(loss, data, z, qs, support)
 
 
 def batch_losses(loss: MarginLoss, data: Dataset, w) -> np.ndarray:

@@ -50,7 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, EvaluationError, MarginLoss, Penalty, RiskParams
-from .core import _check_level, _loss_vector, _oracle, _support, check_dual_weights
+from .core import _check_level, _gradient, _losses, _loss_vector, _margins, _support
+from .core import check_dual_weights
 # The oracle's layer functions, kept as attributes of this module: the
 # benchmark's traced runs rebind them here (bench/workloads.py).
 from .core import batch_losses, jacobian_transpose_apply  # noqa: F401
@@ -130,17 +131,11 @@ def smoothed_weights_euclidean(losses, p: float, mu: float) -> SmoothedOracleOut
     # the bracket check, or the interpolation for lam; numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
         pre = np.concatenate(([0.0], np.cumsum(us)))
-        bps = np.unique(np.concatenate((uc, uc - mu * cap)))
-
-        def theta_at(lams: np.ndarray) -> np.ndarray:
-            hi = np.searchsorted(us, lams + mu * cap, side="right")
-            lo = np.searchsorted(us, lams, side="left")
-            n_mid = hi - lo
-            sum_mid = pre[hi] - pre[lo]
-            n_top = m - hi
-            return 1.0 - (sum_mid - lams * n_mid) / mu - cap * n_top
-
-        theta = theta_at(bps)
+        # Equal breakpoints get equal theta, so repeats never move the bracket.
+        bps = np.sort(np.concatenate((uc, uc - mu * cap)))
+        hi = np.searchsorted(us, bps + mu * cap, side="right")
+        lo = np.searchsorted(us, bps, side="left")
+        theta = 1.0 - (pre[hi] - pre[lo] - bps * (hi - lo)) / mu - cap * (m - hi)
         b_idx = int(np.argmax(theta > 0.0))
         # theta is 1 at the largest breakpoint and 1 - m*cap <= 0 at the smallest,
         # so in exact arithmetic a sign change exists between adjacent breakpoints.
@@ -300,10 +295,8 @@ def smoothed_oracle(
         weights = smoothed_weights_entropic
     else:
         weights = smoothed_weights_euclidean
-
-    def weigh(L):
-        out = weights(L, params.p, params.mu)
-        S = out.support
-        return out.value, S, out.weights if S is None else out.weights[S]
-
-    return _oracle(loss, data, w, weigh)
+    z = _margins(data, w)
+    out = weights(_losses(loss, data, z), params.p, params.mu)
+    S = out.support
+    qS = out.weights if S is None else out.weights[S]
+    return out.value, _gradient(loss, data, z, qS, S)

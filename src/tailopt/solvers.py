@@ -182,18 +182,17 @@ def _tune(oracle: Oracle, x0, f0: float, g0) -> tuple[float, tuple[float, np.nda
     return base * 2.0**lo, at_lo
 
 
-def _step_or_tune(
+def _first_step(
     oracle: Oracle, x: np.ndarray, f: float, g: np.ndarray, config: SolverConfig
-) -> tuple[float, tuple[float, np.ndarray] | None]:
-    """The configured step, or the step tuned at ``x`` when it is ``"auto"``.
-
-    ``f`` and ``g`` are the oracle's output at ``x``, so tuning spends no call
-    on that point again.  The second item is the oracle's output at
-    x - step * g when the tuner evaluated it, and None otherwise.
-    """
-    if isinstance(config.step_size, str):
-        return _tune(oracle, x, f, g)
-    return config.step_size, None
+) -> tuple[float, np.ndarray, float, np.ndarray]:
+    """The configured step, or the one tuned at ``x`` when it is ``"auto"``,
+    with the first move x - step * g and the oracle's output there, which a
+    tuned step takes from the tuner; ``f`` and ``g`` are the output at ``x``."""
+    auto = isinstance(config.step_size, str)
+    step, at_step = _tune(oracle, x, f, g) if auto else (config.step_size, None)
+    x1 = x - step * g
+    f1, g1 = at_step or oracle(x1)
+    return step, x1, f1, g1
 
 
 def _backtrack(
@@ -244,34 +243,33 @@ def _subgradient(oracle: Oracle, x: np.ndarray, config: SolverConfig) -> Steps:
     """
     f, g = oracle(x)
     yield x, f, g
-    alpha, tuned = _step_or_tune(oracle, x, f, g, config)
-    for k in itertools.count(1):
-        x = x - (alpha / math.sqrt(k)) * g
-        f, g = tuned or oracle(x)
-        tuned = None
+    alpha, x, f, g = _first_step(oracle, x, f, g, config)
+    for k in itertools.count(2):
         yield x, f, g
+        x = x - (alpha / math.sqrt(k)) * g
+        f, g = oracle(x)
 
 
 def _dual_averaging(oracle: Oracle, x0: np.ndarray, config: SolverConfig) -> Steps:
     """Weighted dual averaging with normalized subgradients.
 
     Maintains s_{k+1} = sum of g_i / ||g_i|| and maps it back through a
-    sqrt(k+1) divisor: x_{k+1} = x0 - s_{k+1} / (a * sqrt(k+1)).  The scale a
-    is set so that the first move has the length of the tuned (or configured)
-    raw gradient step.  Zero subgradients never enter the sum: the driver's
-    gradient test stops the run first.
+    sqrt(k+1) divisor: x_{k+1} = x0 - s_{k+1} / (a * sqrt(k+1)).  The scale
+    a = 1 / (step * ||g_0||) makes x_1 the tuned (or configured) raw gradient
+    step, taken as x0 - step * g_0 so that the tuner's evaluation serves.
+    Zero subgradients never enter the sum: the driver's gradient test stops
+    the run first.
     """
-    x = x0
-    s = np.zeros_like(x0)
-    a = None
-    for k in itertools.count():
-        f, g = oracle(x)
+    f, g0 = oracle(x0)
+    yield x0, f, g0
+    step, x, f, g = _first_step(oracle, x0, f, g0, config)
+    gnorm = float(np.linalg.norm(g0))
+    a, s = 1.0 / (step * gnorm), g0 / gnorm
+    for k in itertools.count(2):
         yield x, f, g
-        gnorm = float(np.linalg.norm(g))
-        if a is None:
-            a = 1.0 / (_step_or_tune(oracle, x0, f, g, config)[0] * gnorm)
-        s = s + g / gnorm
-        x = x0 - s / (a * math.sqrt(k + 1))
+        s = s + g / float(np.linalg.norm(g))
+        x = x0 - s / (a * math.sqrt(k))
+        f, g = oracle(x)
 
 
 def _two_loop(g: np.ndarray, memory: deque[tuple[np.ndarray, np.ndarray, float]]) -> np.ndarray:

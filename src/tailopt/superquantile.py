@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, MarginLoss, _check_level, _loss_vector, _oracle
+from .core import Dataset, MarginLoss, _check_level, _gradient, _losses, _loss_vector, _margins
 
 __all__ = [
     "ExactOracleOutput",
@@ -143,10 +143,7 @@ def exact_oracle(
     weight step runs on the checked losses and hands only the support and its
     weights to the gradient; no dense weight vector is formed.
     """
-
-    def weigh(L):
-        _check_level(p)
-        _, S, qS, value, _ = _tail_weights(L, p)
-        return value, S, qS
-
-    return _oracle(loss, data, w, weigh)
+    _check_level(p)
+    z = _margins(data, w)
+    _, S, qS, value, _ = _tail_weights(_losses(loss, data, z), p)
+    return value, _gradient(loss, data, z, qS, S)

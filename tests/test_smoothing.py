@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tailopt.core import Dataset, EvaluationError, RiskParams, check_dual_weights
@@ -73,6 +73,13 @@ LEVELS = st.sampled_from([0.0, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0 - 1e-9])
 SCALES = st.sampled_from([1e-3, 0.1, 1.0, 1e3])
 
 
+# Some u_i - mu*cap equal other u_j exactly: 3 and 11 repeated breakpoints.
+COINCIDENT_BREAKPOINTS = [
+    (np.array([0.0, 1.0, 2.0, 3.0]), 0.5, 2.0),
+    (np.array([0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0]), 0.5, 4.0),
+]
+
+
 def random_instance(rng, n_max=20):
     n = int(rng.integers(2, n_max + 1))
     L = rng.standard_cauchy(n) if rng.integers(2) else rng.standard_normal(n)
@@ -111,8 +118,7 @@ class TestEuclideanSubroutine:
 
     def test_kkt_residuals(self):
         rng = np.random.default_rng(1)
-        for _ in range(200):
-            L, p, mu = random_instance(rng)
+        for L, p, mu in [random_instance(rng) for _ in range(200)] + COINCIDENT_BREAKPOINTS:
             out = smoothed_weights_euclidean(L, p, mu)
             n = L.size
             cap = 1.0 / (n * (1.0 - p))
@@ -374,6 +380,8 @@ class TestAgainstSortingReferences:
     )
     @settings(max_examples=300, deadline=None)
     @given(L=loss_vectors(), p=LEVELS, mu=SCALES)
+    @example(*COINCIDENT_BREAKPOINTS[0])
+    @example(*COINCIDENT_BREAKPOINTS[1])
     def test_matches_reference(self, penalty, fast, reference, L, p, mu):
         got, want = fast(L, p, mu), reference(L, p, mu)
         scale = max(1.0, float(np.abs(L).max()) / mu)

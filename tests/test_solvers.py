@@ -791,9 +791,9 @@ class TestSharedContract:
     )
     def test_auto_step_tuning_reuses_first_evaluation(self, algo):
         # f = w^2/2 from x0 = 1: the tuner tries the grid steps 2^k/2 for
-        # k = 0, 10, 5, 2, 1 and returns k = 1, so two iterates cost x0, five
-        # trials and x1; x0 is not evaluated a second time inside the tuner.
-        # The subgradient method's x1 is the k = 1 trial, not evaluated again.
+        # k = 0, 10, 5, 2, 1 and returns k = 1, so two iterates cost x0 and
+        # five trials; x0 is not evaluated a second time inside the tuner, and
+        # x1 is the k = 1 trial, not evaluated again.
         oracle = lambda w: (0.5 * float(w @ w), w.copy())
         r = run_solver(
             oracle,
@@ -802,7 +802,7 @@ class TestSharedContract:
             ),
         )
         assert len(r.objective_trace) == 2
-        assert r.oracle_calls == (6 if algo is Algorithm.SUBGRADIENT else 7)
+        assert r.oracle_calls == 6
 
     def test_smoothing_consistency_toward_exact_optimum(self):
         ds, exact, _ = tail_toy()

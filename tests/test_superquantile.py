@@ -13,6 +13,7 @@ from tailopt.superquantile import (
 )
 
 from helpers import (
+    CountingLoss,
     lp_max_value,
     quantile_by_cdf_scan,
     random_lsq_dataset,
@@ -239,6 +240,13 @@ class TestExactOracle:
         L = batch_losses(loss, ds, w)
         assert (np.unique(L).size < n) == ties
         assert superquantile(L, p) == exact_oracle(loss, ds, w, p)[0]
+
+    def test_level_checked_before_the_losses(self):
+        loss = CountingLoss()
+        ds = random_lsq_dataset(16, n=5, d=2)
+        with pytest.raises(ValueError, match=r"tail level must lie in \[0, 1\), got 1.5"):
+            exact_oracle(loss, ds, np.zeros(2), 1.5)
+        assert (loss.value_calls, loss.slope_calls) == (0, 0)
 
     def test_single_sample_any_level(self):
         ds = random_lsq_dataset(10, n=1, d=3)
