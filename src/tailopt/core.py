@@ -75,16 +75,12 @@ class Dataset:
             raise ValueError(
                 f"features have {n} rows but targets have length {y.shape[0]}"
             )
-        bad_rows = ~np.isfinite(X).all(axis=1)
-        if bad_rows.any():
-            raise ValueError(
-                f"non-finite feature value at sample {int(np.flatnonzero(bad_rows)[0])}"
-            )
-        bad = ~np.isfinite(y)
-        if bad.any():
-            raise ValueError(
-                f"non-finite target value at sample {int(np.flatnonzero(bad)[0])}"
-            )
+        if not _all_finite(X):
+            bad = np.flatnonzero(~np.isfinite(X).all(axis=1))[0]
+            raise ValueError(f"non-finite feature value at sample {int(bad)}")
+        if not _all_finite(y):
+            bad = np.flatnonzero(~np.isfinite(y))[0]
+            raise ValueError(f"non-finite target value at sample {int(bad)}")
         X.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "features", X)

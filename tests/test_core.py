@@ -20,8 +20,17 @@ from helpers import CountingLoss, random_lsq_dataset, sample_gradient
 
 
 class TestDataset:
-    def test_shapes_and_properties(self):
-        ds = Dataset(np.ones((3, 2)), np.arange(3.0))
+    # The second input's finite entries overflow the finiteness check's sum,
+    # so the check falls back to its scan.
+    @pytest.mark.parametrize(
+        "features, targets",
+        [
+            (np.ones((3, 2)), np.arange(3.0)),
+            ([[1e308, 1e308], [1e308, 1e308], [1.0, 1.0]], [1e308, 1e308, 0.0]),
+        ],
+    )
+    def test_shapes_and_properties(self, features, targets):
+        ds = Dataset(features, targets)
         assert (ds.n, ds.d) == (3, 2)
 
     @pytest.mark.parametrize(

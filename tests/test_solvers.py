@@ -1,9 +1,20 @@
+import itertools
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tailopt.core import Dataset, EvaluationError, RiskParams
+from tailopt.dataio import (
+    SyntheticSpec,
+    append_intercept,
+    generate_low_rank,
+    generate_targets,
+    resolve_w_bar,
+    seed_streams,
+)
 from tailopt.models import LinearLeastSquares
 from tailopt.smoothing import smoothed_oracle
 from tailopt.solvers import (
@@ -79,20 +90,23 @@ class TestTuneInitialStep:
     def test_quadratic_picks_largest_decreasing_grid_point(self):
         # f = w^2/2 from x0 = 1: any step in (0, 2) decreases f; the grid
         # 2^k/(1+1) contains 1.0 and 2.0, and 2.0 gives no strict decrease.
-        # The tuner tries k = 0, 10, 5, 2 and 1; 0 and 1 decrease f.
+        # The quadratic through the k = 0 trial is f itself and climbs back to
+        # f0 at the step 2, so the tuner tries k = 0, 2 and then bisects to 1;
+        # 0 and 1 decrease f.
         oracle = RecordingOracle(lambda w: (0.5 * float(w @ w), w.copy()))
         assert tune_initial_step(oracle, np.array([1.0]), 0.5, np.array([1.0])) == 1.0
-        assert [float(x[0]) for x in oracle.points] == [0.5, -511.0, -15.0, -1.0, 0.0]
+        assert [float(x[0]) for x in oracle.points] == [0.5, -1.0, 0.0]
 
     def test_small_steps_are_scanned_when_the_unit_grid_step_fails(self):
         # f = 10 w^2 from x0 = 0.05: g0 = 1, so base = 0.5, and a step decreases
-        # f only below 0.1.  The tuner tries k = 0, -11, -6, -3 and -2; k = -3
-        # is the largest that decreases f.
+        # f only below 0.1.  The quadratic through the k = 0 trial places that
+        # end at 0.1, so the tuner tries k = 0, -3 and -2; k = -3 is the
+        # largest that decreases f.
         oracle = RecordingOracle(lambda w: (10.0 * float(w @ w), 20.0 * w))
         x0 = np.array([0.05])
         f0, g0 = 0.025, np.array([1.0])
         assert tune_initial_step(oracle, x0, f0, g0) == 0.5 * 2.0**-3
-        assert len(oracle.points) == 5
+        assert len(oracle.points) == 3
         assert scan_initial_step(oracle.oracle, x0, f0, g0) == 0.5 * 2.0**-3
 
     @staticmethod
@@ -133,6 +147,41 @@ class TestTuneInitialStep:
         scaled = Dataset(8.0 * ds.features, ds.targets)
         assert self._assert_matches_full_scan(scaled, seed) > 0
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_benchmark_problem_takes_three_trials(self, seed):
+        # The subgradient benchmark's problem at n = 2000: four low-rank
+        # features and an intercept, drawn as `tailopt gen-data` draws them,
+        # the exact oracle at p = 0.9 from 0.  Bisection takes 6 trials.
+        spec = SyntheticSpec(n=2000, d=4, effective_rank=4, seed=seed)
+        streams = seed_streams(seed)
+        X = generate_low_rank(spec.n, spec.d, spec.effective_rank, streams["train_matrix"])
+        y = generate_targets(X, resolve_w_bar(spec, streams["w_bar"]), spec, streams["train_noise"])
+        data = append_intercept(Dataset(X, y))
+        oracle = lambda w: exact_oracle(LinearLeastSquares(), data, w, 0.9)
+        x0 = np.zeros(5)
+        f0, g0 = oracle(x0)
+        rec = RecordingOracle(oracle)
+        assert tune_initial_step(rec, x0, f0, g0) == scan_initial_step(oracle, x0, f0, g0)
+        assert len(rec.points) == 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.floats(), min_size=8, max_size=8), f0=st.floats(-1e3, 1e3))
+    @example(values=[0.0] * 8, f0=1.0)
+    def test_any_trial_values_take_at_most_eight_trials(self, values, f0):
+        # An oracle that returns arbitrary values, NaN and infinities among
+        # them, in turn: whatever the model proposes, the halving rule ends the
+        # search within 8 trials, and no arithmetic on the values warns.  On
+        # the explicit example every model trial lands one exponent above
+        # lo, so without the rule the search would climb to k = 20.
+        trials = itertools.cycle(values)
+        rec = RecordingOracle(lambda w: (next(trials), np.ones(1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.simplefilter("ignore", TuneStepWarning)
+            step = tune_initial_step(rec, np.zeros(1), f0, np.ones(1))
+        assert len(rec.points) <= 8
+        assert step in [0.5 * 2.0**k for k in range(-20, 21)]
+
     def test_constant_objective_warns_and_falls_back(self):
         # The trials k = 0, -11, -16, -19 and -20 all fail.
         oracle = RecordingOracle(lambda w: (1.0, np.ones(1)))
@@ -142,16 +191,19 @@ class TestTuneInitialStep:
         assert len(oracle.points) == 5
 
     def test_trial_that_raises_does_not_decrease(self):
-        # The quadratic case above with an oracle that raises past |w| > 2:
-        # the trials k = 10 and 5 raise, and the tuner still returns 1.0.
+        # The quadratic case above with an oracle that raises past |w| > 0.75:
+        # the model's trial k = 2 lands on -1 and raises, so the tuner bisects
+        # to k = 1 and still returns 1.0.
+        calls = []
+
         def oracle(w):
-            if abs(w[0]) > 2.0:
-                raise EvaluationError("no value past 2")
+            calls.append(float(w[0]))
+            if abs(w[0]) > 0.75:
+                raise EvaluationError("no value past 0.75")
             return 0.5 * float(w @ w), w.copy()
 
-        rec = RecordingOracle(oracle)
-        assert tune_initial_step(rec, np.array([1.0]), 0.5, np.array([1.0])) == 1.0
-        assert [float(x[0]) for x in rec.points] == [0.5, -1.0, 0.0]
+        assert tune_initial_step(oracle, np.array([1.0]), 0.5, np.array([1.0])) == 1.0
+        assert calls == [0.5, -1.0, 0.0]
 
     def test_every_trial_raising_raises_the_last_error(self):
         calls = []
@@ -279,8 +331,9 @@ class TestTrialsThatFailToEvaluate:
     @staticmethod
     def bounded_oracle(w):
         # f = 5 w^2, with an oracle that raises past |w| > 1.5.  From w = 1,
-        # L-BFGS's unit trial lands on -9 and the tuner's k = 10, 5 and 2
-        # trials land past -2.5.
+        # L-BFGS's unit trial lands on -9.  The tuner's k = 0 and 1 trials
+        # decrease f, and its bisecting trials at k = 11, 6, 3 and 2 land
+        # past -2.5.
         if abs(w[0]) > 1.5:
             raise EvaluationError("no value past 1.5")
         return 5.0 * float(w @ w), 10.0 * w
@@ -791,9 +844,9 @@ class TestSharedContract:
     )
     def test_auto_step_tuning_reuses_first_evaluation(self, algo):
         # f = w^2/2 from x0 = 1: the tuner tries the grid steps 2^k/2 for
-        # k = 0, 10, 5, 2, 1 and returns k = 1, so two iterates cost x0 and
-        # five trials; x0 is not evaluated a second time inside the tuner, and
-        # x1 is the k = 1 trial, not evaluated again.
+        # k = 0, 2, 1 and returns k = 1, so two iterates cost x0 and three
+        # trials; x0 is not evaluated a second time inside the tuner, and x1
+        # is the k = 1 trial, not evaluated again.
         oracle = lambda w: (0.5 * float(w @ w), w.copy())
         r = run_solver(
             oracle,
@@ -802,7 +855,7 @@ class TestSharedContract:
             ),
         )
         assert len(r.objective_trace) == 2
-        assert r.oracle_calls == 6
+        assert r.oracle_calls == 4
 
     def test_smoothing_consistency_toward_exact_optimum(self):
         ds, exact, _ = tail_toy()
