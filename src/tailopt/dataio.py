@@ -9,6 +9,7 @@ statistical equivalence is.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -157,8 +158,12 @@ def save_csv(data: Dataset, path, target_column: str = "target") -> None:
 
     Feature columns are named x0..x{d-1}; 17 digits make the save/load round
     trip exact for float64.  The output is what :mod:`csv`'s default writer
-    gives, CRLF line ends included; the numeric body is formatted in blocks of
-    rows, so only one block at a time exists as Python floats.
+    gives, CRLF line ends included, with every cell the bytes of ``%.17g``.
+    The body is formatted in blocks of 1,024 rows.  A block whose cells all
+    lie in 1e-11 <= |x| < 2**52 is formatted by a numpy kernel that computes
+    the 17 digits exactly in integer arithmetic; any other block, one with a
+    zero, a subnormal, a tiny or huge value or a non-finite cell, goes through
+    Python's ``%`` operator, so one such cell costs only its own block.
     """
     with open(path, "w", newline="") as fh:
         _write_csv(data, fh, target_column)
@@ -172,7 +177,157 @@ def _write_csv(data: Dataset, fh, target_column: str) -> None:
         block = np.column_stack(
             (data.features[i : i + _CSV_CHUNK_ROWS], data.targets[i : i + _CSV_CHUNK_ROWS])
         )
-        fh.write((row_format * block.shape[0]) % tuple(block.ravel().tolist()))
+        text = _format_block(block)
+        if text is None:
+            text = (row_format * block.shape[0]) % tuple(block.ravel().tolist())
+        fh.write(text)
+
+
+@functools.cache
+def _format_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """5**k for k = 0..27, 10**k for k = 0..17, and :func:`_format_block`'s
+    4-byte words, built on first use so that importing the package costs
+    nothing.
+
+    Each word is four ASCII bytes viewed as one uint32, in runs of 10,000
+    indexed by a 4-digit chunk c: c zero-padded (``_ZEROS``); c with its
+    leading zeros as NUL bytes (``_LEAD``); c with its trailing zeros as NULs
+    (``_TRAIL``), 0 giving four NULs in both; then "e-XX" for XX = 0..11
+    (``_EXP``).
+    """
+    c = np.arange(10000)
+    place = np.arange(4)
+    digits = (48 + (c[:, None] // 10 ** (3 - place)) % 10).astype(np.uint8)
+    n_digits = np.searchsorted([1, 10, 100, 1000], c, side="right")
+    n_trailing = (c[:, None] % 10 ** (place + 1) == 0).sum(axis=1)
+    lead = digits * (place >= 4 - n_digits[:, None])
+    trail = digits * (place < 4 - n_trailing[:, None])
+    xx = np.arange(12)
+    exp = np.stack([np.full(12, 101), np.full(12, 45), 48 + xx // 10, 48 + xx % 10], axis=1)
+    words = np.concatenate([digits, lead, trail, exp.astype(np.uint8)])
+    five = np.uint64(5) ** np.arange(28, dtype=np.uint64)
+    ten = np.uint64(10) ** np.arange(18, dtype=np.uint64)
+    return five, ten, words.view(np.uint32).ravel()
+
+
+_ZEROS, _LEAD, _TRAIL, _EXP = (np.uint32(10000 * r) for r in range(4))
+_U64 = np.uint64
+_LOW32 = _U64(0xFFFFFFFF)
+_E16, _E17 = _U64(10**16), _U64(10**17)
+
+
+def _seventeen_digits(m2, ebits, k):
+    """floor and round-half-even of m2 * 5**k / 2**s for the cells
+    x = m2 * 2**(ebits - 1076), with s = 1076 - ebits - k, so that both equal
+    |x| * 10**k up to the dropped fraction.
+
+    The product, below 2**117, is held as two uint64 halves built from
+    32-bit parts; every operand is uint64, so no step rounds through float64.
+    """
+    p = _format_tables()[0][k]
+    s = _U64(1076) - ebits - k.astype(np.uint64)
+    mh, ml = m2 >> _U64(32), m2 & _LOW32
+    ph, pl = p >> _U64(32), p & _LOW32
+    lo = ml * pl
+    mid = mh * pl + ml * ph
+    carry = (lo >> _U64(32)) + (mid & _LOW32)
+    low = (lo & _LOW32) | (carry << _U64(32))
+    high = mh * ph + (mid >> _U64(32)) + (carry >> _U64(32))
+    # s lies in [1, 63]: the two shifts of `high` keep each below 64 bits.
+    floor = ((high << (_U64(63) - s)) << _U64(1)) | (low >> s)
+    unit = _U64(1) << s
+    rest, half = low & (unit - _U64(1)), unit >> _U64(1)
+    return floor, floor + (rest + (floor & _U64(1)) > half)
+
+
+def _format_block(block: np.ndarray) -> str | None:
+    """The rows of ``block`` as ``%.17g`` cells joined by "," and ended by
+    "\\r\\n", or None when a cell lies outside 1e-11 <= |x| < 2**52.
+
+    Each cell |x| = m * 2**q has 17 significant digits N = round(|x| * 10**k)
+    with k = 16 - E, E its decimal exponent, computed exactly by
+    :func:`_seventeen_digits`.  E starts as floor(log10|x|), which can be off
+    by one near a power of ten; it is corrected where the truncated N is
+    below 10**16 or the rounded N reaches 10**17, and a block where E does
+    not settle in [-11, 15] is left to the caller.  So is a cell whose
+    digits round up to the next power of ten, but no double in the range
+    does: the largest double below each power of ten lies more than half a
+    17th digit under it.  The text follows C's %g: positional notation for
+    E >= -4, "d.ddde-XX" below it, trailing zeros and a bare point dropped.
+    """
+    cells = block.ravel()
+    a = np.abs(cells)
+    if not ((a >= 1e-11) & (a < 2.0**52)).all():
+        return None
+    bits = a.view(np.uint64)
+    ebits = bits >> _U64(52)
+    m2 = ((bits & _U64(2**52 - 1)) | _U64(2**52)) << _U64(1)
+    E = np.clip(np.floor(np.log10(a)), -11, 15).astype(np.int64)
+    floor, N = _seventeen_digits(m2, ebits, 16 - E)
+    off = np.flatnonzero((floor < _E16) | (N >= _E17))
+    if off.size:
+        E[off] += np.where(floor[off] < _E16, -1, 1)
+        if not ((E[off] >= -11) & (E[off] <= 15)).all():
+            return None
+        floor, N[off] = _seventeen_digits(m2[off], ebits[off], 16 - E[off])
+        if not ((floor >= _E16) & (N[off] < _E17)).all():
+            return None
+    return _cell_text(cells, E, N, block.shape)
+
+
+def _cell_text(cells, E, N, shape) -> str:
+    """The text of :func:`_format_block` from each cell's sign, exponent E
+    and 17 digits N.
+
+    Each cell becomes eleven 4-byte words, with NUL bytes where it has no
+    character: the separator before it ("," or, at a row's first cell but
+    the block's, "\r\n") and the sign; the integer part N // 10**t in 16
+    digits, leading zeros dropped but for a zero part's "0"; the point; the
+    20-digit fraction, trailing zeros dropped; in exponential form "e-XX" in
+    place of the fraction's last four digits, which it never uses.  t = 16 - E
+    places the point (t = 16 in exponential form, after the first digit).
+    The words' bytes with the NULs deleted, and a final "\r\n", are the text.
+    """
+    _, ten, words = _format_tables()
+    exponential = E < -4
+    t = np.where(exponential, 16, 16 - E)
+    unit = ten[np.minimum(t, 17)]
+    whole = N // unit
+    fraction = N - whole * unit
+    # The fraction's 20 digits: fraction * 10**(20 - t), as a 16-digit head
+    # and a 4-digit tail, which only t > 16 (E in [-4, -1]) fills.
+    over = np.maximum(t - 16, 0)
+    head = fraction // ten[over]
+    tail = ((fraction - head * ten[over]) * ten[4 - over]).astype(np.uint32)
+    head *= ten[np.maximum(16 - t, 0)]
+    out = np.empty((cells.size, 11), dtype=np.uint32)
+    zeros_before = np.ones(cells.size, dtype=bool)
+    for col, chunk in zip(range(1, 5), _chunks(whole)):
+        out[:, col] = words[chunk + np.where(zeros_before, _LEAD, _ZEROS)]
+        zeros_before &= chunk == 0
+    # Where a byte falls within its word does not matter once NULs go.
+    out[:, 4] |= zeros_before * np.uint32(48)
+    out[:, 10] = words[np.where(exponential, _EXP - E, _TRAIL + tail)]
+    zeros_after = tail == 0
+    for col, chunk in zip(range(9, 5, -1), _chunks(head)[::-1]):
+        out[:, col] = words[chunk + np.where(zeros_after, _TRAIL, _ZEROS)]
+        zeros_after &= chunk == 0
+    out[:, 5] = ~zeros_after * np.uint32(46)
+    sep = np.zeros((*shape, 4), dtype=np.uint8)
+    sep[:, 1:, 0] = 44
+    sep[1:, 0, :2] = (13, 10)
+    sep = sep.view(np.uint32).ravel()
+    minus = np.array([0, 0, 0, 45], dtype=np.uint8).view(np.uint32)
+    out[:, 0] = np.where(cells < 0, sep | minus, sep)
+    return (out.tobytes().translate(None, b"\0") + b"\r\n").decode("ascii")
+
+
+def _chunks(x):
+    """The four 4-digit chunks of x < 10**16, most significant first."""
+    high = (x // _U64(10**8)).astype(np.uint32)
+    low = (x - high.astype(np.uint64) * _U64(10**8)).astype(np.uint32)
+    hh, lh = high // np.uint32(10000), low // np.uint32(10000)
+    return hh, high - hh * np.uint32(10000), lh, low - lh * np.uint32(10000)
 
 
 def load_csv(path, target_column: str = "target") -> Dataset:

@@ -3,7 +3,10 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from tailopt import dataio
 from tailopt.core import Dataset
 from tailopt.dataio import (
     DataFormatError,
@@ -190,7 +193,88 @@ def csv_writer_reference(data: Dataset, target_column: str = "target") -> bytes:
     return out.getvalue().encode()
 
 
+def _tie_at_digit_18(j: int):
+    """Odd n / 2**j whose exact decimal n * 5**j has 18 digits, so the
+    17-digit rounding is an exact tie."""
+    low = -(-(10**17) // 5**j) // 2
+    high = (min(10**18 // 5**j, 2**53) - 1) // 2
+    return st.integers(low, high).map(lambda o: (2 * o + 1) / 2.0**j)
+
+
+# Cells the numpy kernel formats: 1e-11 <= |x| < 2**52, with E in [-11, 15].
+_KERNEL_CELL = st.builds(
+    lambda x, negative: -x if negative else x,
+    st.one_of(
+        st.floats(np.nextafter(1e-11, 1.0), 4.5e15),
+        st.builds(lambda m, e: float(f"{m}e{e}"), st.integers(1, 9999), st.integers(-10, 11)),
+        st.integers(1, 2**52 - 1).map(float),
+        st.builds(
+            lambda j, up: float(np.nextafter(10.0**j, np.inf if up else 0.0)),
+            st.integers(-10, 15),
+            st.booleans(),
+        ),
+        st.integers(2, 25).flatmap(_tie_at_digit_18),
+    ),
+    st.booleans(),
+)
+
+
+@st.composite
+def _kernel_blocks(draw):
+    rows, d = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    cells = draw(st.lists(_KERNEL_CELL, min_size=rows * (d + 1), max_size=rows * (d + 1)))
+    table = np.array(cells).reshape(rows, d + 1)
+    return Dataset(table[:, :d], table[:, d])
+
+
 class TestCsvFastPaths:
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(ds=_kernel_blocks())
+    def test_kernel_matches_csv_writer_bytes(self, tmp_path, ds):
+        # Every cell lies in the kernel's range, so the block is formatted in
+        # numpy, and must still give %.17g's bytes: short decimals, integers,
+        # neighbours of powers of ten and exact ties at the 18th digit.
+        assert dataio._format_block(np.column_stack((ds.features, ds.targets))) is not None
+        path = tmp_path / "k.csv"
+        save_csv(ds, path)
+        assert path.read_bytes() == csv_writer_reference(ds)
+
+    def test_powers_of_ten_and_their_neighbours_take_the_kernel(self):
+        # floor(log10|x|) is off by one next to some powers of ten, and no
+        # neighbour below one rounds up to it at 17 digits.  The double 1e-11
+        # lies below 10**-11, outside the kernel's range.
+        powers = 10.0 ** np.arange(-10, 16)
+        cells = np.concatenate(
+            [np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf)]
+        )
+        block = np.concatenate([cells, -cells]).reshape(-1, 6)
+        row_format = ",".join(["%.17g"] * 6) + "\r\n"
+        assert dataio._format_block(block) == (row_format * block.shape[0]) % tuple(block.ravel())
+        assert dataio._format_block(np.array([[1e-11]])) is None
+
+    @pytest.mark.parametrize("n, bad_row", [(1025, 1024), (2500, 1500)])
+    def test_out_of_range_cell_sends_only_its_block_to_the_percent_line(
+        self, tmp_path, monkeypatch, n, bad_row
+    ):
+        rng = np.random.default_rng(n)
+        X = rng.choice([-1.0, 1.0], (n, 3)) * 10.0 ** rng.uniform(-10, 15, (n, 3))
+        X[bad_row, 1] = 0.0
+        ds = Dataset(X, rng.uniform(1.0, 2.0, n))
+        format_block, formatted = dataio._format_block, []
+
+        def spy(block):
+            text = format_block(block)
+            formatted.append(text is not None)
+            return text
+
+        monkeypatch.setattr(dataio, "_format_block", spy)
+        path = tmp_path / "d.csv"
+        save_csv(ds, path)
+        assert formatted == [i != bad_row // 1024 for i in range(-(-n // 1024))]
+        assert path.read_bytes() == csv_writer_reference(ds)
+
     @pytest.mark.parametrize("n", [1, 7, 1023, 1024, 1025, 2500])
     def test_save_matches_csv_writer_bytes(self, tmp_path, n):
         rng = np.random.default_rng(n)
