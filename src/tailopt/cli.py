@@ -357,11 +357,11 @@ def cmd_experiment(args) -> int:
     _, train, test = _generate_pair(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # Writing the CSVs as %.17g text takes about 0.17 s at the default sizes
-    # (0.4 s with Python's % operator), so a forked child writes them while
-    # the fits run, and is waited for before the results are written.  The
-    # files hold these values exactly (%.17g round-trips float64), so the
-    # fits use the generated sets rather than reading the files back.
+    # Writing the CSVs as %.17g text takes about 0.17 s at the default sizes,
+    # so a forked child writes them while the fits run, and is waited for
+    # before the results are written.  The files hold these values exactly
+    # (%.17g round-trips float64), so the fits use the generated sets rather
+    # than reading the files back.
     jobs = [(train, out_dir / "train.csv"), (test, out_dir / "test.csv")]
     with _csvs_written_in_child(jobs, args.target_column):
         train = append_intercept(train)

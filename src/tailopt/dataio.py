@@ -164,6 +164,9 @@ def save_csv(data: Dataset, path, target_column: str = "target") -> None:
     the 17 digits exactly in integer arithmetic; any other block, one with a
     zero, a subnormal, a tiny or huge value or a non-finite cell, goes through
     Python's ``%`` operator, so one such cell costs only its own block.
+    The kernel keeps its integer operands uint64 or uint32 so that numpy
+    1.x's value-based casting cannot send a step through float64, but its
+    bytes have been checked against ``%`` under numpy 2 only.
     """
     with open(path, "w", newline="") as fh:
         _write_csv(data, fh, target_column)

@@ -149,12 +149,9 @@ def tune_initial_step(oracle: Oracle, x0, f0: float, g0) -> float:
     back to f0 at a*, and the next trial is the exponent of the largest grid
     step up to a*, clamped into the bracket, provided it lies below ``hi``;
     otherwise, and after a model trial that did not halve the bracket, the
-    next trial bisects it.  One exception: when such a model trial decreased
-    f and its own quadratic again puts a* below the next grid step, that
-    step, lo + 1, is tried once before bisecting.  On least-squares
-    superquantile fits, exact or smoothed, this takes 3 trials in most cases
-    where bisection takes 5 or 6; the halving rule bounds the search at 10
-    trials whatever the values.
+    next trial bisects it.  On least-squares superquantile fits, exact or
+    smoothed, this takes 3 or 4 trials where bisection takes 5 or 6; the
+    halving rule bounds the search at 8 trials whatever the values.
 
     This is the largest decreasing grid step whenever phi(a) = f(x0 - a*g0)
     is convex in a, as it is for the exact and smoothed superquantile of a
@@ -178,7 +175,7 @@ def _tune(oracle: Oracle, x0, f0: float, g0) -> tuple[float, tuple[float, np.nda
     base = 1.0 / (1.0 + math.sqrt(gg))
     lo, hi, at_lo = -21, 21, None
     error, evaluated = None, False
-    mid, last = 0, "bisect"
+    mid, bisected = 0, True
     while hi - lo > 1:
         width, step = hi - lo, base * 2.0**mid
         try:
@@ -195,14 +192,10 @@ def _tune(oracle: Oracle, x0, f0: float, g0) -> tuple[float, tuple[float, np.nda
         rise = float(f_trial) - f0 + gg * step
         ratio = gg * step / rise if rise > 0.0 else math.nan
         k = mid + math.floor(math.log2(ratio)) if 0.0 < ratio < math.inf else hi
-        if k < hi and (last == "bisect" or 2 * (hi - lo) <= width):
-            mid, last = min(max(k, lo + 1), hi - 1), "model"
-        elif last == "model" and k <= lo == mid:
-            # The model trial decreased f without halving the bracket, and its
-            # quadratic puts a* below the next grid step: try that step once.
-            mid, last = lo + 1, "step"
+        if k < hi and (bisected or 2 * (hi - lo) <= width):
+            mid, bisected = min(max(k, lo + 1), hi - 1), False
         else:
-            mid, last = (lo + hi) // 2, "bisect"
+            mid, bisected = (lo + hi) // 2, True
     if not evaluated:
         raise error
     if lo == -21:
