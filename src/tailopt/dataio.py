@@ -159,11 +159,12 @@ def save_csv(data: Dataset, path, target_column: str = "target") -> None:
     Feature columns are named x0..x{d-1}; 17 digits make the save/load round
     trip exact for float64.  The output is what :mod:`csv`'s default writer
     gives, CRLF line ends included, with every cell the bytes of ``%.17g``.
-    The body is formatted in blocks of 1,024 rows.  A block whose cells all
-    lie in 1e-11 <= |x| < 2**52 is formatted by a numpy kernel that computes
-    the 17 digits exactly in integer arithmetic; any other block, one with a
-    zero, a subnormal, a tiny or huge value or a non-finite cell, goes through
-    Python's ``%`` operator, so one such cell costs only its own block.
+    The body is formatted in blocks of 1,024 rows.  A block whose cells are
+    all zero or lie in 1e-11 <= |x| < 2**52 is formatted by a numpy kernel
+    that computes the 17 digits exactly in integer arithmetic; any other
+    block, one with a subnormal, a tiny or huge value or a non-finite cell,
+    goes through Python's ``%`` operator, so one such cell costs only its own
+    block.
     The kernel keeps its integer operands uint64 or uint32 so that numpy
     1.x's value-based casting cannot send a step through float64, but its
     bytes have been checked against ``%`` under numpy 2 only.
@@ -245,7 +246,7 @@ def _seventeen_digits(m2, ebits, k):
 
 def _format_block(block: np.ndarray) -> str | None:
     """The rows of ``block`` as ``%.17g`` cells joined by "," and ended by
-    "\\r\\n", or None when a cell lies outside 1e-11 <= |x| < 2**52.
+    "\\r\\n", or None when a nonzero cell lies outside 1e-11 <= |x| < 2**52.
 
     Each cell |x| = m * 2**q has 17 significant digits N = round(|x| * 10**k)
     with k = 16 - E, E its decimal exponent, computed exactly by
@@ -257,11 +258,15 @@ def _format_block(block: np.ndarray) -> str | None:
     does: the largest double below each power of ten lies more than half a
     17th digit under it.  The text follows C's %g: positional notation for
     E >= -4, "d.ddde-XX" below it, trailing zeros and a bare point dropped.
+    A zero is "0", or "-0" when its sign bit is set.
     """
     cells = block.ravel()
     a = np.abs(cells)
-    if not ((a >= 1e-11) & (a < 2.0**52)).all():
+    zero = a == 0.0
+    if not (((a >= 1e-11) & (a < 2.0**52)) | zero).all():
         return None
+    # A zero cell is worked as 1.0, whose E = 0 is exact, and given N = 0.
+    a[zero] = 1.0
     bits = a.view(np.uint64)
     ebits = bits >> _U64(52)
     m2 = ((bits & _U64(2**52 - 1)) | _U64(2**52)) << _U64(1)
@@ -275,6 +280,7 @@ def _format_block(block: np.ndarray) -> str | None:
         floor, N[off] = _seventeen_digits(m2[off], ebits[off], 16 - E[off])
         if not ((floor >= _E16) & (N[off] < _E17)).all():
             return None
+    N[zero] = 0
     return _cell_text(cells, E, N, block.shape)
 
 
@@ -321,7 +327,7 @@ def _cell_text(cells, E, N, shape) -> str:
     sep[1:, 0, :2] = (13, 10)
     sep = sep.view(np.uint32).ravel()
     minus = np.array([0, 0, 0, 45], dtype=np.uint8).view(np.uint32)
-    out[:, 0] = np.where(cells < 0, sep | minus, sep)
+    out[:, 0] = np.where(np.signbit(cells), sep | minus, sep)
     return (out.tobytes().translate(None, b"\0") + b"\r\n").decode("ascii")
 
 

@@ -3,10 +3,11 @@
 :func:`run_solver` takes an oracle closure ``w -> (value, gradient)`` and a
 :class:`SolverConfig`, and runs the method named by ``config.algorithm``:
 the subgradient and dual-averaging methods, meant for the exact nonsmooth
-oracle, or L-BFGS, meant for the smoothed one.  Each method is a step
-generator ``(oracle, x0, config)`` that yields its evaluated iterates
-``(x, f, g)`` one at a time, starting with ``x0``; it only decides where to
-evaluate next.  A generator that returns ends the run with the
+oracle, or L-BFGS, meant for the smoothed one, which keeps its newest 100
+curvature pairs in compact form.  Each method is a step generator
+``(oracle, x0, config)`` that yields its evaluated iterates ``(x, f, g)``
+one at a time, starting with ``x0``; it only decides where to evaluate
+next.  A generator that returns ends the run with the
 :class:`Termination` it returns: L-BFGS returns when its line search fails,
 or when it accepts a step that leaves x unchanged.  The driver alone counts
 oracle calls, checks that each yielded value and gradient are finite,
@@ -60,7 +61,7 @@ Steps = Generator[tuple[np.ndarray, float, np.ndarray], None, "Termination"]
 _STALL_WINDOW = 10
 _ARMIJO_C = 1e-4
 _MAX_TRIALS = 51
-_LBFGS_MEMORY = 10
+_LBFGS_MEMORY = 100
 
 
 class Algorithm(str, Enum):
@@ -294,42 +295,78 @@ def _dual_averaging(oracle: Oracle, x0: np.ndarray, config: SolverConfig) -> Ste
         f, g = oracle(x)
 
 
-def _two_loop(g: np.ndarray, memory: deque[tuple[np.ndarray, np.ndarray, float]]) -> np.ndarray:
-    q = g.copy()
-    alphas = []
-    for s, yv, rho in reversed(memory):
-        a = rho * float(s @ q)
-        q -= a * yv
-        alphas.append(a)
-    if memory:
-        s, yv, _ = memory[-1]
-        q *= (s @ yv) / (yv @ yv)  # numpy division: y @ y may underflow to 0
-    for (s, yv, rho), a in zip(memory, reversed(alphas)):
-        b = rho * float(yv @ q)
-        q += (a - b) * s
-    return -q
+class _Memory:
+    """The newest ``_LBFGS_MEMORY`` curvature pairs of L-BFGS, in the compact
+    form of Byrd, Nocedal & Schnabel (*Math. Prog.* 63, 1994).
+
+    Rows ``S[:k]`` and ``Y[:k]`` hold the k pairs, oldest first.  With
+    D = diag(S Y^T) and R the upper triangle of S Y^T, the memory keeps D,
+    Y Y^T and R^-1, all in arrays of fixed size allocated once.  Appending a
+    pair costs O(k d + k^2); dropping the oldest one takes the trailing
+    blocks, since the trailing block of R^-1 is the inverse of R's.
+    """
+
+    def __init__(self, d: int):
+        m = _LBFGS_MEMORY
+        self.k = 0
+        self.S, self.Y = np.empty((m, d)), np.empty((m, d))
+        self.D, self.YY = np.empty(m), np.empty((m, m))
+        self.Rinv = np.zeros((m, m))  # stays upper triangular
+
+    def __len__(self) -> int:
+        return self.k
+
+    def clear(self) -> None:
+        self.k = 0
+
+    def append(self, s: np.ndarray, y: np.ndarray, sy: float) -> None:
+        """Store the pair (s, y) with s @ y = sy > 0, dropping the oldest when full."""
+        S, Y, D, YY, Rinv = self.S, self.Y, self.D, self.YY, self.Rinv
+        k = self.k
+        if k == _LBFGS_MEMORY:
+            S[:-1], Y[:-1], D[:-1] = S[1:], Y[1:], D[1:]
+            YY[:-1, :-1], Rinv[:-1, :-1] = YY[1:, 1:], Rinv[1:, 1:]
+            k -= 1
+        Rinv[:k, k] = (Rinv[:k, :k] @ (S[:k] @ y)) / -sy
+        Rinv[k, k] = 1.0 / sy
+        YY[k, :k] = YY[:k, k] = Y[:k] @ y
+        YY[k, k] = y @ y
+        S[k], Y[k], D[k] = s, y, sy
+        self.k = k + 1
+
+    def direction(self, g: np.ndarray) -> np.ndarray:
+        """-H g for the L-BFGS inverse Hessian H of the stored pairs, with
+        H0 = gamma I scaled by the newest pair: gamma = s @ y / y @ y."""
+        k = self.k
+        S, Y, D, Rinv = self.S[:k], self.Y[:k], self.D[:k], self.Rinv[:k, :k]
+        gamma = D[-1] / self.YY[k - 1, k - 1]  # numpy division: y @ y may underflow to 0
+        p = Rinv @ (S @ g)
+        q = Rinv.T @ (D * p + gamma * (self.YY[:k, :k] @ p - Y @ g))
+        return -(gamma * g + S.T @ q - gamma * (Y.T @ p))
 
 
 def _lbfgs(oracle: Oracle, x: np.ndarray, config: SolverConfig) -> Steps:
-    """Limited-memory BFGS (memory 10) with an Armijo line search from t = 1.
+    """Limited-memory BFGS (memory 100) with an Armijo line search from t = 1.
 
     With empty memory, at the first iterate, the direction is -g, so the first
     step is a gradient step from a unit trial.  Curvature pairs with
-    s @ y <= 1e-12 * ||s|| ||y|| are discarded.  A quasi-Newton step fails when
-    its direction is not a descent direction or its line search rejects every
-    trial; the memory is then cleared and the step retried once along -g
-    before failure is reported.  ``config.step_size`` is not used.
+    s @ y <= 1e-12 * ||s|| ||y|| are discarded; the others go to a
+    :class:`_Memory`, whose compact form gives the direction in a few matrix
+    products.  A quasi-Newton step fails when its direction is not finite or
+    not a descent direction, or its line search rejects every trial; the
+    memory is then cleared and the step retried once along -g before failure
+    is reported.  ``config.step_size`` is not used.
     """
-    memory: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=_LBFGS_MEMORY)
+    memory = _Memory(x.size)
     f, g = oracle(x)
     while True:
         yield x, f, g
         step = Termination.LINE_SEARCH_FAILURE
         if memory:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                d = _two_loop(g, memory)
+                d = memory.direction(g)
                 slope = float(g @ d)
-            if slope < 0.0:
+            if -math.inf < slope < 0.0:
                 step = _backtrack(oracle, x, f, d, slope)
         if step is Termination.LINE_SEARCH_FAILURE:
             memory.clear()
@@ -342,7 +379,7 @@ def _lbfgs(oracle: Oracle, x: np.ndarray, config: SolverConfig) -> Steps:
             yv = g_new - g
             sy = float(s @ yv)
             if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
-                memory.append((s, yv, 1.0 / sy))
+                memory.append(s, yv, sy)
         x, f, g = x_new, f_new, g_new
 
 

@@ -441,6 +441,28 @@ def scan_initial_step(oracle, x0, f0: float, g0) -> float:
     return base * 2.0**-20
 
 
+def two_loop_direction(g: np.ndarray, memory) -> np.ndarray:
+    """-H g by the L-BFGS two-loop recursion over ``memory``, a sequence of
+    ``(s, y, 1 / (s @ y))`` oldest first, with H0 = (s @ y) / (y @ y) I from
+    the newest pair (Nocedal & Wright, *Numerical Optimization*, algorithm
+    7.4).  Reference for the compact-form direction of the solvers' L-BFGS
+    memory.
+    """
+    q = g.copy()
+    alphas = []
+    for s, yv, rho in reversed(memory):
+        a = rho * float(s @ q)
+        q -= a * yv
+        alphas.append(a)
+    if memory:
+        s, yv, _ = memory[-1]
+        q *= (s @ yv) / (yv @ yv)
+    for (s, yv, rho), a in zip(memory, reversed(alphas)):
+        b = rho * float(yv @ q)
+        q += (a - b) * s
+    return -q
+
+
 # ---------------------------------------------------------------------------
 # fixtures
 # ---------------------------------------------------------------------------

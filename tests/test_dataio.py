@@ -201,10 +201,12 @@ def _tie_at_digit_18(j: int):
     return st.integers(low, high).map(lambda o: (2 * o + 1) / 2.0**j)
 
 
-# Cells the numpy kernel formats: 1e-11 <= |x| < 2**52, with E in [-11, 15].
+# Cells the numpy kernel formats: zeros, and 1e-11 <= |x| < 2**52, with E in
+# [-11, 15].
 _KERNEL_CELL = st.builds(
     lambda x, negative: -x if negative else x,
     st.one_of(
+        st.just(0.0),
         st.floats(np.nextafter(1e-11, 1.0), 4.5e15),
         st.builds(lambda m, e: float(f"{m}e{e}"), st.integers(1, 9999), st.integers(-10, 11)),
         st.integers(1, 2**52 - 1).map(float),
@@ -234,8 +236,9 @@ class TestCsvFastPaths:
     @given(ds=_kernel_blocks())
     def test_kernel_matches_csv_writer_bytes(self, tmp_path, ds):
         # Every cell lies in the kernel's range, so the block is formatted in
-        # numpy, and must still give %.17g's bytes: short decimals, integers,
-        # neighbours of powers of ten and exact ties at the 18th digit.
+        # numpy, and must still give %.17g's bytes: signed zeros, short
+        # decimals, integers, neighbours of powers of ten and exact ties at
+        # the 18th digit.
         assert dataio._format_block(np.column_stack((ds.features, ds.targets))) is not None
         path = tmp_path / "k.csv"
         save_csv(ds, path)
@@ -260,7 +263,8 @@ class TestCsvFastPaths:
     ):
         rng = np.random.default_rng(n)
         X = rng.choice([-1.0, 1.0], (n, 3)) * 10.0 ** rng.uniform(-10, 15, (n, 3))
-        X[bad_row, 1] = 0.0
+        X[bad_row, 1] = 5e-324
+        X[::512, 2] = 0.0
         ds = Dataset(X, rng.uniform(1.0, 2.0, n))
         format_block, formatted = dataio._format_block, []
 

@@ -1,5 +1,6 @@
 import itertools
 import warnings
+from collections import deque
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from tailopt.solvers import (
     run_solver,
     tune_initial_step,
 )
+from tailopt.solvers import _LBFGS_MEMORY, _Memory
 from tailopt.superquantile import exact_oracle
 
 from helpers import (
@@ -33,6 +35,7 @@ from helpers import (
     quadratic_oracle,
     random_lsq_dataset,
     scan_initial_step,
+    two_loop_direction,
 )
 
 def abs_toy_oracle():
@@ -660,6 +663,63 @@ class TestLbfgs:
             assert (np.diff(r.objective_trace) <= 0.0).all()
             calls += r.oracle_calls
         assert calls <= 4000
+
+
+def curvature_pairs(rng, d: int, count: int):
+    """``count`` pairs (s, y = A s) for one SPD A with eigenvalues in
+    [1e-3, 1e3], and steps s of norms spread over six decades."""
+    Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    A = (Q * 10.0 ** rng.uniform(-3, 3, d)) @ Q.T
+    for _ in range(count):
+        s = rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 3)
+        yield s, A @ s
+
+
+class TestLbfgsMemory:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        d=st.sampled_from([1, 5, 41]),
+        pairs=st.integers(1, 150),
+        cleared_after=st.integers(0, 150),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(d=1, pairs=150, cleared_after=150, seed=0)
+    @example(d=5, pairs=150, cleared_after=150, seed=1)
+    @example(d=41, pairs=150, cleared_after=150, seed=2)
+    @example(d=41, pairs=150, cleared_after=120, seed=3)
+    def test_direction_matches_two_loop(self, d, pairs, cleared_after, seed):
+        # Past 100 pairs the oldest are dropped; a clear, as on L-BFGS's
+        # fallback to -g, empties both memories, and at least one pair follows.
+        rng = np.random.default_rng(seed)
+        memory, reference = _Memory(d), deque(maxlen=_LBFGS_MEMORY)
+        for i, (s, y) in enumerate(curvature_pairs(rng, d, pairs)):
+            if i == cleared_after:
+                memory.clear()
+                reference.clear()
+            sy = float(s @ y)
+            memory.append(s, y, sy)
+            reference.append((s, y, 1.0 / sy))
+        assert len(memory) == len(reference)
+        g = rng.standard_normal(d)
+        expected = two_loop_direction(g, reference)
+        assert np.linalg.norm(memory.direction(g) - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    def test_holds_the_newest_pairs_in_fixed_arrays(self):
+        d = 5
+        memory = _Memory(d)
+        arrays = {name: (a, a.shape) for name, a in vars(memory).items() if isinstance(a, np.ndarray)}
+        S, Y = map(np.array, zip(*curvature_pairs(np.random.default_rng(0), d, 150)))
+        for s, y in zip(S, Y):
+            memory.append(s, y, float(s @ y))
+        k = _LBFGS_MEMORY
+        assert len(memory) == k == 100
+        S, Y = S[-k:], Y[-k:]
+        assert np.array_equal(memory.S, S) and np.array_equal(memory.Y, Y)
+        assert np.array_equal(memory.D, [s @ y for s, y in zip(S, Y)])
+        np.testing.assert_allclose(memory.YY, Y @ Y.T, rtol=1e-12)
+        R = np.triu(S @ Y.T)
+        np.testing.assert_allclose(memory.Rinv @ R, np.eye(k), atol=1e-9)
+        assert {name: (a, a.shape) for name, a in vars(memory).items() if isinstance(a, np.ndarray)} == arrays
 
 
 def ray_oracle(value_at):
