@@ -352,10 +352,10 @@ def _lbfgs(oracle: Oracle, x: np.ndarray, config: SolverConfig) -> Steps:
     step is a gradient step from a unit trial.  Curvature pairs with
     s @ y <= 1e-12 * ||s|| ||y|| are discarded; the others go to a
     :class:`_Memory`, whose compact form gives the direction in a few matrix
-    products.  A quasi-Newton step fails when its direction is not finite or
-    not a descent direction, or its line search rejects every trial; the
-    memory is then cleared and the step retried once along -g before failure
-    is reported.  ``config.step_size`` is not used.
+    products.  A quasi-Newton step fails when its direction is not a descent
+    direction or its line search rejects every trial; the memory is then
+    cleared and the step retried once along -g before failure is reported.
+    ``config.step_size`` is not used.
     """
     memory = _Memory(x.size)
     f, g = oracle(x)
@@ -366,7 +366,7 @@ def _lbfgs(oracle: Oracle, x: np.ndarray, config: SolverConfig) -> Steps:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 d = memory.direction(g)
                 slope = float(g @ d)
-            if -math.inf < slope < 0.0:
+            if slope < 0.0:
                 step = _backtrack(oracle, x, f, d, slope)
         if step is Termination.LINE_SEARCH_FAILURE:
             memory.clear()
