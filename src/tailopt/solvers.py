@@ -338,10 +338,11 @@ class _Memory:
         """-H g for the L-BFGS inverse Hessian H of the stored pairs, with
         H0 = gamma I scaled by the newest pair: gamma = s @ y / y @ y."""
         k = self.k
-        S, Y, D, Rinv = self.S[:k], self.Y[:k], self.D[:k], self.Rinv[:k, :k]
-        gamma = D[-1] / self.YY[k - 1, k - 1]  # numpy division: y @ y may underflow to 0
+        S, Y, D = self.S[:k], self.Y[:k], self.D[:k]
+        YY, Rinv = self.YY[:k, :k], self.Rinv[:k, :k]
+        gamma = D[-1] / YY[-1, -1]  # numpy division: y @ y may underflow to 0
         p = Rinv @ (S @ g)
-        q = Rinv.T @ (D * p + gamma * (self.YY[:k, :k] @ p - Y @ g))
+        q = Rinv.T @ (D * p + gamma * (YY @ p - Y @ g))
         return -(gamma * g + S.T @ q - gamma * (Y.T @ p))
 
 
