@@ -115,30 +115,24 @@ def _levels(text: str) -> list[float]:
     return list(by_key.values())
 
 
-_step_size = _checked(
-    lambda text: text if text == "auto" else float(text),
-    lambda v: v == "auto" or 0.0 < v < np.inf,
-    "'auto' or a finite positive number",
-)
-
-
 def _add_fit_flags(p: argparse.ArgumentParser) -> None:
     """The solver flags of ``train`` and ``experiment``, checked as they are
-    parsed.  The step size and tolerances default to :class:`SolverConfig`'s;
-    ``train`` has flags for them."""
+    parsed.  The tolerances default to :class:`SolverConfig`'s; ``train`` has
+    flags for them.  No flag sets the step of subgradient and dual_averaging:
+    the solver tunes it at the first iterate."""
     p.add_argument("--mu", type=_positive, default=1000.0, help="smoothing scale")
     p.add_argument("--penalty", choices=["euclidean", "entropic"], default="euclidean")
     p.add_argument(
         "--algorithm",
         choices=[a.value for a in Algorithm],
         default="lbfgs",
-        help="subgradient and dual_averaging fit the exact superquantile and ignore --mu, "
-        "--penalty and train's --f-tol; lbfgs fits the smoothed one and ignores train's "
-        "--step-size",
+        help="subgradient and dual_averaging fit the exact superquantile, tune their step "
+        "at the first iterate and ignore --mu, --penalty and train's --f-tol; lbfgs fits "
+        "the smoothed one",
     )
     p.add_argument("--max-iters", type=_count, default=500)
     defaults = SolverConfig()
-    p.set_defaults(step_size=defaults.step_size, grad_tol=defaults.grad_tol, f_tol=defaults.f_tol)
+    p.set_defaults(grad_tol=defaults.grad_tol, f_tol=defaults.f_tol)
 
 
 def _generate_pair(args):
@@ -190,7 +184,6 @@ def _fit(data: Dataset, args, objective: str, p: float) -> dict:
         max_iters=args.max_iters,
         grad_tol=args.grad_tol,
         f_tol=args.f_tol,
-        step_size=args.step_size,
         initial_point=np.zeros(data.d),
     )
     result = run_solver(oracle, config)
@@ -443,13 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--target-column", default="target")
     p_train.add_argument("--p", type=_tail_level, default=0.9, help="tail level")
     _add_fit_flags(p_train)
-    # These three take their defaults from _add_fit_flags.
-    p_train.add_argument(
-        "--step-size",
-        type=_step_size,
-        help="base step of subgradient and dual_averaging, or 'auto' to tune it at the "
-        "first iterate; lbfgs ignores it",
-    )
+    # These two take their defaults from _add_fit_flags.
     p_train.add_argument("--grad-tol", type=_nonnegative)
     p_train.add_argument(
         "--f-tol",

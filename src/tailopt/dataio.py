@@ -45,7 +45,7 @@ class MissingColumnError(DataFormatError):
 
 
 class NonNumericCellError(DataFormatError):
-    """A data cell failed to parse as a number."""
+    """A data cell failed to parse as a finite number."""
 
     def __init__(self, message: str, row: int):
         super().__init__(message)
@@ -165,9 +165,6 @@ def save_csv(data: Dataset, path, target_column: str = "target") -> None:
     block, one with a subnormal, a tiny or huge value or a non-finite cell,
     goes through Python's ``%`` operator, so one such cell costs only its own
     block.
-    The kernel keeps its integer operands uint64 or uint32 so that numpy
-    1.x's value-based casting cannot send a step through float64, but its
-    bytes have been checked against ``%`` under numpy 2 only.
     """
     with open(path, "w", newline="") as fh:
         _write_csv(data, fh, target_column)
@@ -345,7 +342,7 @@ def load_csv(path, target_column: str = "target") -> Dataset:
     Raises FileNotFoundError for a missing file, :class:`MissingColumnError`
     if the target column is absent, :class:`EmptyDatasetError` for a file with
     no data rows, and :class:`NonNumericCellError` naming the 1-based data row
-    of the first cell that fails to parse.
+    of the first cell that fails to parse or parses to a NaN or an infinity.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -366,6 +363,9 @@ def load_csv(path, target_column: str = "target") -> Dataset:
             reader = csv.reader(fh)
             next(reader)
             table = _parse_rows(path, reader, len(header))
+    if not _all_finite(table):
+        row = int(np.flatnonzero(~np.isfinite(table).all(axis=1))[0]) + 1
+        raise NonNumericCellError(f"{path}: non-finite cell at data row {row}", row=row)
     return Dataset(np.delete(table, tidx, axis=1), table[:, tidx])
 
 

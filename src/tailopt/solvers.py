@@ -3,8 +3,9 @@
 :func:`run_solver` takes an oracle closure ``w -> (value, gradient)`` and a
 :class:`SolverConfig`, and runs the method named by ``config.algorithm``:
 the subgradient and dual-averaging methods, meant for the exact nonsmooth
-oracle, or L-BFGS, meant for the smoothed one, which keeps its newest 100
-curvature pairs in compact form.  Each method is a step generator
+oracle, which take their base step from :func:`tune_initial_step` at the
+first iterate, or L-BFGS, meant for the smoothed one, which keeps its newest
+100 curvature pairs in compact form.  Each method is a step generator
 ``(oracle, x0, config)`` that yields its evaluated iterates ``(x, f, g)``
 one at a time, starting with ``x0``; it only decides where to evaluate
 next.  A generator that returns ends the run with the
@@ -86,19 +87,16 @@ class TuneStepWarning(UserWarning):
 class SolverConfig:
     """Shared solver settings.
 
-    ``step_size`` is the base step of the subgradient and dual-averaging
-    methods: a positive float, or the string ``"auto"``, in which case
-    :func:`tune_initial_step` picks it at the first iterate.  L-BFGS ignores
-    it.  ``f_tol`` is the stall tolerance of L-BFGS; the other two methods
-    ignore it.  The starting point ``initial_point`` must be given before a
-    run.
+    ``f_tol`` is the stall tolerance of L-BFGS; the other two methods ignore
+    it.  The subgradient and dual-averaging methods take their base step from
+    :func:`tune_initial_step` at the first iterate, so no field sets it.  The
+    starting point ``initial_point`` must be given before a run.
     """
 
     algorithm: Algorithm = Algorithm.LBFGS
     max_iters: int = 1000
     grad_tol: float = 1e-8
     f_tol: float = 1e-10
-    step_size: float | str = "auto"
     initial_point: np.ndarray | None = None
 
     def __post_init__(self):
@@ -107,11 +105,6 @@ class SolverConfig:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if not (self.grad_tol >= 0.0 and self.f_tol >= 0.0):
             raise ValueError("grad_tol and f_tol must be nonnegative")
-        if isinstance(self.step_size, str):
-            if self.step_size != "auto":
-                raise ValueError(f"step_size must be positive or 'auto', got {self.step_size!r}")
-        elif not self.step_size > 0.0:
-            raise ValueError(f"step_size must be positive, got {self.step_size}")
 
     def start_point(self) -> np.ndarray:
         if self.initial_point is None:
@@ -206,13 +199,12 @@ def _tune(oracle: Oracle, x0, f0: float, g0) -> tuple[float, tuple[float, np.nda
 
 
 def _first_step(
-    oracle: Oracle, x: np.ndarray, f: float, g: np.ndarray, config: SolverConfig
+    oracle: Oracle, x: np.ndarray, f: float, g: np.ndarray
 ) -> tuple[float, np.ndarray, float, np.ndarray]:
-    """The configured step, or the one tuned at ``x`` when it is ``"auto"``,
-    with the first move x - step * g and the oracle's output there, which a
-    tuned step takes from the tuner; ``f`` and ``g`` are the output at ``x``."""
-    auto = isinstance(config.step_size, str)
-    step, at_step = _tune(oracle, x, f, g) if auto else (config.step_size, None)
+    """The step tuned at ``x``, with the first move x - step * g and the
+    oracle's output there, taken from the tuner when it evaluated that point;
+    ``f`` and ``g`` are the output at ``x``."""
+    step, at_step = _tune(oracle, x, f, g)
     x1 = x - step * g
     f1, g1 = at_step or oracle(x1)
     return step, x1, f1, g1
@@ -266,7 +258,7 @@ def _subgradient(oracle: Oracle, x: np.ndarray, config: SolverConfig) -> Steps:
     """
     f, g = oracle(x)
     yield x, f, g
-    alpha, x, f, g = _first_step(oracle, x, f, g, config)
+    alpha, x, f, g = _first_step(oracle, x, f, g)
     for k in itertools.count(2):
         yield x, f, g
         x = x - (alpha / math.sqrt(k)) * g
@@ -278,14 +270,14 @@ def _dual_averaging(oracle: Oracle, x0: np.ndarray, config: SolverConfig) -> Ste
 
     Maintains s_{k+1} = sum of g_i / ||g_i|| and maps it back through a
     sqrt(k+1) divisor: x_{k+1} = x0 - s_{k+1} / (a * sqrt(k+1)).  The scale
-    a = 1 / (step * ||g_0||) makes x_1 the tuned (or configured) raw gradient
-    step, taken as x0 - step * g_0 so that the tuner's evaluation serves.
+    a = 1 / (step * ||g_0||) makes x_1 the tuned raw gradient step, taken as
+    x0 - step * g_0 so that the tuner's evaluation serves.
     Zero subgradients never enter the sum: the driver's gradient test stops
     the run first.
     """
     f, g0 = oracle(x0)
     yield x0, f, g0
-    step, x, f, g = _first_step(oracle, x0, f, g0, config)
+    step, x, f, g = _first_step(oracle, x0, f, g0)
     gnorm = float(np.linalg.norm(g0))
     a, s = 1.0 / (step * gnorm), g0 / gnorm
     for k in itertools.count(2):
@@ -354,9 +346,9 @@ def _lbfgs(oracle: Oracle, x: np.ndarray, config: SolverConfig) -> Steps:
     s @ y <= 1e-12 * ||s|| ||y|| are discarded; the others go to a
     :class:`_Memory`, whose compact form gives the direction in a few matrix
     products.  A quasi-Newton step fails when its direction is not a descent
-    direction or its line search rejects every trial; the memory is then
-    cleared and the step retried once along -g before failure is reported.
-    ``config.step_size`` is not used.
+    direction with a finite slope, or when its line search rejects every
+    trial; the memory is then cleared and the step retried once along -g
+    before failure is reported.
     """
     memory = _Memory(x.size)
     f, g = oracle(x)
@@ -367,7 +359,9 @@ def _lbfgs(oracle: Oracle, x: np.ndarray, config: SolverConfig) -> Steps:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 d = memory.direction(g)
                 slope = float(g @ d)
-            if slope < 0.0:
+            # A slope that overflows to -inf would make every Armijo bound
+            # -inf, so the search would spend all its trials.
+            if -math.inf < slope < 0.0:
                 step = _backtrack(oracle, x, f, d, slope)
         if step is Termination.LINE_SEARCH_FAILURE:
             memory.clear()

@@ -530,8 +530,8 @@ def quadratic_oracle(A: np.ndarray, b: np.ndarray):
 class RecordingOracle:
     """Wraps an oracle and keeps a copy of every point it is called at, with its value.
 
-    With a fixed step the solvers make no tuning or line-search calls, so
-    ``points`` is then exactly the sequence of recorded iterates.
+    ``points`` holds the step tuner's and the line search's trials too, not
+    only the iterates a run records.
     """
 
     def __init__(self, oracle):

@@ -400,6 +400,28 @@ class TestEval:
         assert lines == []
         assert str(model) in err
 
+    @pytest.mark.parametrize("column", ["x1", "target"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "1e400"])
+    def test_non_finite_csv_cell_is_io_error_naming_its_row(self, tmp_path, capsys, cell, column):
+        data, _ = write_consistent_csv(tmp_path)
+        lines = data.read_text().splitlines()
+        header = lines[0].split(",")
+        cells = lines[3].split(",")  # the 3rd data row
+        cells[header.index(column)] = cell
+        lines[3] = ",".join(cells)
+        data.write_text("\n".join(lines) + "\n")
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps({"weights": [0.0] * 5, "config": {"intercept": True}}))
+        for argv in (
+            ["train", "--data", str(data), "--out", str(tmp_path / "out.json")],
+            ["eval", "--model", str(model), "--data", str(data)],
+        ):
+            code, out, err = run_cli(capsys, argv)
+            assert code == 3
+            assert out == []
+            assert err.splitlines()[-1] == f"error: {data}: non-finite cell at data row 3"
+        assert not (tmp_path / "out.json").exists()
+
     def test_nonfinite_model_weights_are_io_error(self, tmp_path, capsys):
         data, _ = write_consistent_csv(tmp_path)
         model = tmp_path / "m.json"
@@ -699,7 +721,6 @@ class TestExperiment:
         assert len(configs) == 3
         for config in configs:
             assert config.max_iters == 500
-            assert config.step_size == "auto"
             assert config.grad_tol == 1e-8
             assert config.f_tol == 1e-10
 
@@ -722,16 +743,16 @@ class TestFitFlags:
         parser = build_parser()
         train = vars(parser.parse_args(["train", "--data", "d.csv", "--out", "m.json"]))
         experiment = vars(parser.parse_args(["experiment"]))
-        shared = ("mu", "penalty", "algorithm", "max_iters", "step_size", "grad_tol", "f_tol")
+        shared = ("mu", "penalty", "algorithm", "max_iters", "grad_tol", "f_tol")
         assert {k: train[k] for k in shared} == {k: experiment[k] for k in shared}
         defaults = SolverConfig()
-        assert (train["step_size"], train["grad_tol"], train["f_tol"]) == (
-            defaults.step_size, defaults.grad_tol, defaults.f_tol
-        )
+        assert (train["grad_tol"], train["f_tol"]) == (defaults.grad_tol, defaults.f_tol)
+        assert "step_size" not in train and "step_size" not in experiment
 
     @pytest.mark.parametrize("objective", ["superquantile", "erm"])
-    @pytest.mark.parametrize("value", ["fast", "-1", "0"])
-    def test_bad_step_size_is_flag_error(self, tmp_path, capsys, objective, value):
+    @pytest.mark.parametrize("value", ["0.1", "auto"])
+    def test_step_size_is_not_a_flag(self, tmp_path, capsys, objective, value):
+        # The subgradient and dual-averaging steps are always tuned.
         data, _ = write_consistent_csv(tmp_path)
         argv = [
             "train", "--data", str(data), "--out", str(tmp_path / "m.json"),
@@ -740,7 +761,7 @@ class TestFitFlags:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert "argument --step-size" in capsys.readouterr().err
+        assert "unrecognized arguments: --step-size" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
     BAD_VALUES = [
@@ -821,7 +842,7 @@ class TestFitFlags:
             capsys,
             [
                 "train", "--data", str(data), "--out", str(tmp_path / "m.json"),
-                "--algorithm", "subgradient", "--step-size", "0.01", "--grad-tol", "0",
+                "--algorithm", "subgradient", "--grad-tol", "0",
                 "--f-tol", "1e-6", "--max-iters", "7",
             ],
         )
@@ -829,7 +850,6 @@ class TestFitFlags:
         [config] = configs
         assert config.algorithm is Algorithm.SUBGRADIENT
         assert config.max_iters == 7
-        assert config.step_size == 0.01 and isinstance(config.step_size, float)
         assert config.grad_tol == 0.0
         assert config.f_tol == 1e-6
         assert np.array_equal(config.initial_point, np.zeros(5))  # intercept appended
@@ -848,7 +868,6 @@ class TestFitFlags:
         for config in configs:
             assert config.algorithm is Algorithm.DUAL_AVERAGING
             assert config.max_iters == 7
-            assert config.step_size == SolverConfig().step_size
 
 
 class TestAlgorithmsAtDefaults:

@@ -147,6 +147,19 @@ class TestCsvRoundTrip:
             load_csv(path)
         assert err.value.row == 7
 
+    @pytest.mark.parametrize("quoted", [False, True])
+    @pytest.mark.parametrize("column", [0, 2])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_cell_names_row(self, tmp_path, cell, column, quoted):
+        # Quoting the cell sends the file through the row parser.
+        path = tmp_path / "bad.csv"
+        rows = [["1.0", "2.0", "3.0"] for _ in range(4)]
+        rows[2][column] = f'"{cell}"' if quoted else cell  # 3rd data row
+        path.write_text("x0,x1,target\n" + "".join(",".join(r) + "\n" for r in rows))
+        with pytest.raises(NonNumericCellError, match="non-finite cell at data row 3$") as err:
+            load_csv(path)
+        assert err.value.row == 3
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "nothing.csv"
         path.write_text("")

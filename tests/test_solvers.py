@@ -58,10 +58,8 @@ class TestSolverConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(max_iters=0)
-        with pytest.raises(ValueError):
-            SolverConfig(step_size=-1.0)
-        with pytest.raises(ValueError):
-            SolverConfig(step_size="fast")
+        with pytest.raises(TypeError):
+            SolverConfig(step_size=0.1)  # the step is always tuned
         with pytest.raises(ValueError):
             SolverConfig(grad_tol=-1e-3)
 
@@ -287,7 +285,6 @@ class TestSubgradientMethod:
         cfg = SolverConfig(
             algorithm="subgradient",
             max_iters=100,
-            step_size=0.5,
             f_tol=0.0,
             initial_point=np.array([1.0]),
         )
@@ -311,8 +308,8 @@ class TestOracleErrorsCarryTheTrace:
 
     @pytest.mark.parametrize("algo", list(Algorithm))
     def test_at_a_later_point(self, algo):
-        # f = w^2/2 from w = 4 with step 1/4: the oracle fails once |w| < 1,
-        # at an iterate or, for L-BFGS, at every trial of its third search.
+        # f = w^2/2 from w = 4: the oracle fails once |w| < 1, at an
+        # iterate or, for L-BFGS, at every trial of its third search.
         def oracle(w):
             if abs(w[0]) < 1.0:
                 raise EvaluationError("no value below 1")
@@ -321,7 +318,7 @@ class TestOracleErrorsCarryTheTrace:
         with pytest.raises(EvaluationError, match="no value below 1") as err:
             run_solver(
                 oracle,
-                SolverConfig(algorithm=algo, step_size=0.25, f_tol=0.0, initial_point=np.full(1, 4.0)),
+                SolverConfig(algorithm=algo, f_tol=0.0, initial_point=np.full(1, 4.0)),
             )
         assert len(err.value.objective_trace) >= 1
         assert err.value.objective_trace[0] == 8.0
@@ -399,24 +396,29 @@ class TestOverflowingGradient:
 class TestDualAveraging:
     def test_constant_gradient_closed_form(self):
         g_const = np.array([3.0, 4.0])
-        oracle = RecordingOracle(lambda w: (float(g_const @ w), g_const.copy()))
-        step = 0.1
+        linear = lambda w: (float(g_const @ w), g_const.copy())
+        trials = RecordingOracle(linear)
+        step = tune_initial_step(trials, np.zeros(2), 0.0, g_const)
+        oracle = RecordingOracle(linear)
         cfg = SolverConfig(
             algorithm="dual_averaging",
             max_iters=6,
             grad_tol=0.0,
             f_tol=0.0,
-            step_size=step,
             initial_point=np.zeros(2),
         )
         r = run_solver(oracle, cfg)
-        assert len(oracle.points) == len(r.objective_trace) == 6  # fixed step: no tuning calls
+        assert len(r.objective_trace) == 6
+        # x0, the tuner's trials (x1 among them, not evaluated again), x2..x5.
+        assert len(oracle.points) == 1 + len(trials.points) + 4
+        points = iterate_points(r, oracle)
         ghat = g_const / np.linalg.norm(g_const)
         a = 1.0 / (step * np.linalg.norm(g_const))
+        assert np.array_equal(points[1], -step * g_const)
         for k in range(1, 6):
             # s_k = k * ghat, so the iterate sits sqrt(k)/a along -ghat.
             expect = -(k / (a * np.sqrt(k))) * ghat
-            assert np.allclose(oracle.points[k], expect, atol=1e-14)
+            assert np.allclose(points[k], expect, rtol=1e-14, atol=0.0)
 
     def test_abs_toy_converges(self):
         r = run_solver(
@@ -647,6 +649,37 @@ class TestLbfgs:
             )
         assert [float(x[0]) for x in rec.points] == [0.0, 1e-150, 1e-150 - g1]
 
+    def test_overflowing_slope_falls_back_to_minus_g_without_a_trial(self, monkeypatch):
+        # f = |w|^2/4 from (8, 8): the unit step along -g lands on (4, 4) and
+        # stores a pair.  There the memory gives a finite direction whose
+        # slope g @ d overflows to -inf, so every Armijo bound would be -inf;
+        # the step goes along -g at once, to (2, 2), in one call.
+        directions = []
+
+        def overflowing(self, g):
+            directions.append(np.full(g.size, -1.7e308))
+            return directions[-1]
+
+        def oracle(w):
+            with np.errstate(over="ignore"):  # trials along d overflow
+                return 0.25 * float(w @ w), 0.5 * w
+
+        monkeypatch.setattr(_Memory, "direction", overflowing)
+        rec = RecordingOracle(oracle)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = run_solver(
+                rec,
+                SolverConfig(
+                    algorithm="lbfgs", max_iters=3, grad_tol=0.0, f_tol=0.0,
+                    initial_point=np.full(2, 8.0),
+                ),
+            )
+        assert len(directions) == 1 and np.isfinite(directions[0]).all()
+        assert r.oracle_calls == 3
+        assert [list(x) for x in rec.points] == [[8.0, 8.0], [4.0, 4.0], [2.0, 2.0]]
+        assert r.termination is Termination.MAX_ITERS
+
     def test_tail_toys_take_few_calls_and_never_spin(self):
         # Backtracking by halving took 33,895 calls on these 30 runs, three of
         # which repeated a step that left x unchanged until max_iters.
@@ -859,16 +892,23 @@ class TestSharedContract:
         assert abs(f_check - r.objective_trace.min()) <= 1e-12
 
     def test_tied_best_objective_returns_latest_iterate(self):
-        # A flat objective ties every iterate with the best.
-        rec = RecordingOracle(lambda w: (0.0, np.ones(1)))
-        r = run_solver(
-            rec,
-            SolverConfig(
-                algorithm="subgradient", max_iters=3, step_size=0.5, grad_tol=0.0, f_tol=0.0,
-                initial_point=np.zeros(1),
-            ),
-        )
-        assert len(rec.points) == 3
+        # A flat objective ties every iterate with the best.  No trial step
+        # decreases it, so the tuner warns, and its smallest grid step,
+        # which no trial evaluated, costs one more call.
+        flat = lambda w: (0.0, np.ones(1))
+        trials = RecordingOracle(flat)
+        with pytest.warns(TuneStepWarning):
+            tune_initial_step(trials, np.zeros(1), 0.0, np.ones(1))
+        rec = RecordingOracle(flat)
+        with pytest.warns(TuneStepWarning):
+            r = run_solver(
+                rec,
+                SolverConfig(
+                    algorithm="subgradient", max_iters=3, grad_tol=0.0, f_tol=0.0,
+                    initial_point=np.zeros(1),
+                ),
+            )
+        assert len(rec.points) == 1 + len(trials.points) + 2
         assert np.array_equal(r.solution, rec.points[-1])
         assert not np.array_equal(r.solution, rec.points[0])
 
@@ -916,6 +956,22 @@ class TestSharedContract:
         )
         assert len(r.objective_trace) == 2
         assert r.oracle_calls == 4
+
+    @pytest.mark.parametrize("algo", [Algorithm.SUBGRADIENT, Algorithm.DUAL_AVERAGING])
+    def test_tuned_step_is_the_first_move(self, algo):
+        _, exact, _ = tail_toy()
+        x0 = np.zeros(5)
+        f0, g0 = exact(x0)
+        step = tune_initial_step(exact, x0, f0, g0)
+        rec = RecordingOracle(exact)
+        r = run_solver(
+            rec,
+            SolverConfig(
+                algorithm=algo, max_iters=2, grad_tol=0.0, f_tol=0.0, initial_point=x0
+            ),
+        )
+        assert r.objective_trace[0] == f0
+        assert np.array_equal(iterate_points(r, rec)[1], x0 - step * g0)
 
     def test_smoothing_consistency_toward_exact_optimum(self):
         ds, exact, _ = tail_toy()
