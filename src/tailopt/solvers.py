@@ -5,7 +5,10 @@
 the subgradient and dual-averaging methods, meant for the exact nonsmooth
 oracle, which take their base step from :func:`tune_initial_step` at the
 first iterate, or L-BFGS, meant for the smoothed one, which keeps its newest
-100 curvature pairs in compact form.  Each method is a step generator
+100 curvature pairs in compact form.  L-BFGS starts from the initial inverse
+Hessian gamma M for an optional preconditioner M in the config; the CLI
+passes the pseudo-inverse of the features' Gram matrix X^T X / n, where most
+of a margin loss's curvature lies.  Each method is a step generator
 ``(oracle, x0, config)`` that yields its evaluated iterates ``(x, f, g)``
 one at a time, starting with ``x0``; it only decides where to evaluate
 next.  A generator that returns ends the run with the
@@ -91,6 +94,9 @@ class SolverConfig:
     it.  The subgradient and dual-averaging methods take their base step from
     :func:`tune_initial_step` at the first iterate, so no field sets it.  The
     starting point ``initial_point`` must be given before a run.
+    ``preconditioner`` is an optional symmetric positive semidefinite d-by-d
+    array M: L-BFGS then starts from the initial inverse Hessian gamma M in
+    place of gamma I.  The other two methods ignore it.
     """
 
     algorithm: Algorithm = Algorithm.LBFGS
@@ -98,6 +104,7 @@ class SolverConfig:
     grad_tol: float = 1e-8
     f_tol: float = 1e-10
     initial_point: np.ndarray | None = None
+    preconditioner: np.ndarray | None = None
 
     def __post_init__(self):
         self.algorithm = Algorithm(self.algorithm)
@@ -113,6 +120,19 @@ class SolverConfig:
         if x0.ndim != 1:
             raise ValueError(f"initial_point must be 1-D, got shape {x0.shape}")
         return x0.copy()
+
+    def check_preconditioner(self, d: int) -> None:
+        """Raise ``ValueError`` unless ``preconditioner`` is None or a finite
+        d-by-d array, symmetric to rounding (as ``np.linalg.pinv`` returns)."""
+        if self.preconditioner is None:
+            return
+        M = np.asarray(self.preconditioner, dtype=float)
+        if M.shape != (d, d):
+            raise ValueError(f"preconditioner must have shape ({d}, {d}), got {M.shape}")
+        if not np.isfinite(M).all():
+            raise ValueError("preconditioner must be finite")
+        if np.abs(M - M.T).max() > 1e-10 * np.abs(M).max():
+            raise ValueError("preconditioner must be symmetric")
 
 
 @dataclass
@@ -289,19 +309,24 @@ def _dual_averaging(oracle: Oracle, x0: np.ndarray, config: SolverConfig) -> Ste
 
 class _Memory:
     """The newest ``_LBFGS_MEMORY`` curvature pairs of L-BFGS, in the compact
-    form of Byrd, Nocedal & Schnabel (*Math. Prog.* 63, 1994).
+    form of Byrd, Nocedal & Schnabel (*Math. Prog.* 63, 1994), for the initial
+    inverse Hessian H0 = gamma M, with M the identity when ``M`` is None.
 
-    Rows ``S[:k]`` and ``Y[:k]`` hold the k pairs, oldest first.  With
+    Rows ``S[:k]`` and ``Y[:k]`` hold the k pairs, oldest first, and ``MY[:k]``
+    the rows M y (the rows of ``Y`` itself when M is the identity).  With
     D = diag(S Y^T) and R the upper triangle of S Y^T, the memory keeps D,
-    Y Y^T and R^-1, all in arrays of fixed size allocated once.  Appending a
-    pair costs O(k d + k^2); dropping the oldest one takes the trailing
-    blocks, since the trailing block of R^-1 is the inverse of R's.
+    Y M Y^T and R^-1, all in arrays of fixed size allocated once.  Appending a
+    pair costs O(k d + k^2), plus O(d^2) for M y; dropping the oldest one
+    takes the trailing blocks, since the trailing block of R^-1 is the
+    inverse of R's.
     """
 
-    def __init__(self, d: int):
+    def __init__(self, d: int, M: np.ndarray | None = None):
         m = _LBFGS_MEMORY
         self.k = 0
+        self.M = None if M is None else np.asarray(M, dtype=float)
         self.S, self.Y = np.empty((m, d)), np.empty((m, d))
+        self.MY = self.Y if M is None else np.empty((m, d))
         self.D, self.YY = np.empty(m), np.empty((m, m))
         self.Rinv = np.zeros((m, m))  # stays upper triangular
 
@@ -311,46 +336,53 @@ class _Memory:
     def clear(self) -> None:
         self.k = 0
 
+    def times_M(self, v: np.ndarray) -> np.ndarray:
+        return v if self.M is None else self.M @ v
+
     def append(self, s: np.ndarray, y: np.ndarray, sy: float) -> None:
         """Store the pair (s, y) with s @ y = sy > 0, dropping the oldest when full."""
-        S, Y, D, YY, Rinv = self.S, self.Y, self.D, self.YY, self.Rinv
+        S, Y, MY, D, YY, Rinv = self.S, self.Y, self.MY, self.D, self.YY, self.Rinv
         k = self.k
         if k == _LBFGS_MEMORY:
             S[:-1], Y[:-1], D[:-1] = S[1:], Y[1:], D[1:]
+            if MY is not Y:
+                MY[:-1] = MY[1:]
             YY[:-1, :-1], Rinv[:-1, :-1] = YY[1:, 1:], Rinv[1:, 1:]
             k -= 1
+        My = self.times_M(y)
         Rinv[:k, k] = (Rinv[:k, :k] @ (S[:k] @ y)) / -sy
         Rinv[k, k] = 1.0 / sy
-        YY[k, :k] = YY[:k, k] = Y[:k] @ y
-        YY[k, k] = y @ y
-        S[k], Y[k], D[k] = s, y, sy
+        YY[k, :k] = YY[:k, k] = MY[:k] @ y
+        YY[k, k] = My @ y
+        S[k], Y[k], MY[k], D[k] = s, y, My, sy
         self.k = k + 1
 
     def direction(self, g: np.ndarray) -> np.ndarray:
         """-H g for the L-BFGS inverse Hessian H of the stored pairs, with
-        H0 = gamma I scaled by the newest pair: gamma = s @ y / y @ y."""
+        H0 = gamma M scaled by the newest pair: gamma = s @ y / y @ M y."""
         k = self.k
-        S, Y, D = self.S[:k], self.Y[:k], self.D[:k]
+        S, MY, D = self.S[:k], self.MY[:k], self.D[:k]
         YY, Rinv = self.YY[:k, :k], self.Rinv[:k, :k]
-        gamma = D[-1] / YY[-1, -1]  # numpy division: y @ y may underflow to 0
+        gamma = D[-1] / YY[-1, -1]  # numpy division: y @ M y may underflow to 0
         p = Rinv @ (S @ g)
-        q = Rinv.T @ (D * p + gamma * (YY @ p - Y @ g))
-        return -(gamma * g + S.T @ q - gamma * (Y.T @ p))
+        q = Rinv.T @ (D * p + gamma * (YY @ p - MY @ g))
+        return -(gamma * self.times_M(g) + S.T @ q - gamma * (MY.T @ p))
 
 
 def _lbfgs(oracle: Oracle, x: np.ndarray, config: SolverConfig) -> Steps:
     """Limited-memory BFGS (memory 100) with an Armijo line search from t = 1.
 
-    With empty memory, at the first iterate, the direction is -g, so the first
-    step is a gradient step from a unit trial.  Curvature pairs with
-    s @ y <= 1e-12 * ||s|| ||y|| are discarded; the others go to a
-    :class:`_Memory`, whose compact form gives the direction in a few matrix
-    products.  A quasi-Newton step fails when its direction is not a descent
-    direction with a finite slope, or when its line search rejects every
-    trial; the memory is then cleared and the step retried once along -g
-    before failure is reported.
+    With empty memory, at the first iterate, the direction is -M g, for the
+    preconditioner M of ``config`` (the identity when it is None), so the
+    first step is a preconditioned gradient step from a unit trial.
+    Curvature pairs with s @ y <= 1e-12 * ||s|| ||y|| are discarded; the
+    others go to a :class:`_Memory`, whose compact form gives the direction
+    in a few matrix products.  A quasi-Newton step fails when its direction
+    is not a descent direction with a finite slope, or when its line search
+    rejects every trial; the memory is then cleared and the step retried once
+    along -M g before failure is reported.
     """
-    memory = _Memory(x.size)
+    memory = _Memory(x.size, config.preconditioner)
     f, g = oracle(x)
     while True:
         yield x, f, g
@@ -365,7 +397,9 @@ def _lbfgs(oracle: Oracle, x: np.ndarray, config: SolverConfig) -> Steps:
                 step = _backtrack(oracle, x, f, d, slope)
         if step is Termination.LINE_SEARCH_FAILURE:
             memory.clear()
-            step = _backtrack(oracle, x, f, -g, -float(g @ g))
+            with np.errstate(over="ignore", invalid="ignore"):
+                Mg = memory.times_M(g)
+            step = _backtrack(oracle, x, f, -Mg, -float(g @ Mg))
         if isinstance(step, Termination):
             return step
         x_new, f_new, g_new = step
@@ -406,7 +440,9 @@ def run_solver(oracle: Oracle, config: SolverConfig) -> SolverResult:
     best_hist: deque[float] = deque(maxlen=_STALL_WINDOW + 1)
     algorithm = Algorithm(config.algorithm)
     f_tol = config.f_tol if algorithm is Algorithm.LBFGS else 0.0
-    steps = _STEPS[algorithm](counted, config.start_point(), config)
+    x0 = config.start_point()
+    config.check_preconditioner(x0.size)
+    steps = _STEPS[algorithm](counted, x0, config)
     while True:
         try:
             x, f, g = next(steps)

@@ -223,6 +223,37 @@ class TestTrain:
         assert lines == []
         assert err.startswith("error: ")
 
+    def test_gram_overflow_leaves_lbfgs_unpreconditioned(self, capsys):
+        # Features near 1e160 overflow X^T X; the fit then starts from the
+        # identity, and the oracle reports the non-finite losses (exit 4).
+        rng = np.random.default_rng(0)
+        huge = Dataset(1e160 * rng.standard_normal((30, 3)), rng.standard_normal(30))
+        args = build_parser().parse_args(["train", "--data", "d.csv", "--out", "m.json"])
+        assert tailopt.cli._preconditioner(huge, args) is None
+
+    def test_rank_one_features_fit_with_a_singular_gram(self, tmp_path, capsys):
+        # --rank 1 gives nearly collinear columns, so X^T X / n is singular
+        # to working precision and the fit starts from its pseudo-inverse.
+        # Without it this fit took 181 calls and ended at 16.497508015501502.
+        train = tmp_path / "train.csv"
+        code, _, _ = run_cli(
+            capsys,
+            [
+                "gen-data", "--n", "300", "--d", "10", "--rank", "1", "--test-n", "50",
+                "--out-train", str(train), "--out-test", str(tmp_path / "test.csv"),
+            ],
+        )
+        assert code == 0
+        X = append_intercept(load_csv(train)).features
+        assert np.linalg.cond(X.T @ X) > 1e14
+        code, lines, _ = run_cli(
+            capsys, ["train", "--data", str(train), "--out", str(tmp_path / "m.json")]
+        )
+        assert code == 0
+        assert lines[-1]["termination"] in ("grad_tol", "f_tol")
+        assert lines[-1]["final_objective"] <= 16.497508015501502
+        assert lines[-1]["oracle_calls"] < 60
+
     def test_singular_erm_exits_solver_error(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((40, 1))
@@ -724,6 +755,33 @@ class TestExperiment:
             assert config.grad_tol == 1e-8
             assert config.f_tol == 1e-10
 
+    @pytest.mark.parametrize("algorithm", ["lbfgs", "subgradient"])
+    def test_fits_share_one_inverse_gram(self, tmp_path, capsys, monkeypatch, algorithm):
+        configs = []
+        run_solver = tailopt.cli.run_solver
+
+        def recording(oracle, config):
+            configs.append(config)
+            return run_solver(oracle, config)
+
+        monkeypatch.setattr(tailopt.cli, "run_solver", recording)
+        code, _, _ = run_cli(
+            capsys,
+            [
+                "experiment", *self.FLAGS, "--algorithm", algorithm, "--max-iters", "20",
+                "--out-dir", str(tmp_path / "exp"),
+            ],
+        )
+        assert code == 0
+        M = configs[0].preconditioner
+        assert all(config.preconditioner is M for config in configs)
+        if algorithm == "subgradient":
+            assert M is None
+            return
+        train = append_intercept(load_csv(tmp_path / "exp" / "train.csv"))
+        X = train.features
+        np.testing.assert_allclose(M @ (X.T @ X / train.n), np.eye(train.d), atol=1e-8)
+
     def test_same_seed_reproduces_results(self, tmp_path, capsys):
         args = [
             "experiment", "--seed", "3", "--n", "300", "--d", "8", "--rank", "4",
@@ -884,7 +942,8 @@ class TestAlgorithmsAtDefaults:
         tail = {}
         for algo in Algorithm:
             args.algorithm = algo.value
-            fit = tailopt.cli._fit(train, args, "superquantile", 0.9)
+            preconditioner = tailopt.cli._preconditioner(train, args)
+            fit = tailopt.cli._fit(train, args, "superquantile", 0.9, preconditioner)
             if algo is not Algorithm.LBFGS:
                 assert fit["termination"] != Termination.F_TOL.value, algo
             tail[algo] = superquantile(batch_losses(LinearLeastSquares(), train, fit["weights"]), 0.9)
