@@ -248,7 +248,8 @@ def cmd_train(args) -> int:
     intercept = not args.no_intercept
     if intercept:
         data = append_intercept(data)
-    fit = _fit(data, args, args.objective, args.p, _preconditioner(data, args))
+    preconditioner = _preconditioner(data, args) if args.objective == "superquantile" else None
+    fit = _fit(data, args, args.objective, args.p, preconditioner)
     model = {
         "weights": [float(v) for v in fit["weights"]],
         "config": {
@@ -374,9 +375,8 @@ def cmd_experiment(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     # Writing the CSVs as %.17g text takes 0.08-0.10 s in-process at the
     # default sizes, so a forked child writes them while the fits run, and is
-    # waited for before the results are written.  The child takes longer,
-    # 0.14-0.16 s, so the results wait on it after the 0.08-0.14 s of fits
-    # (see the module docstring).  The files hold these values exactly
+    # waited for before the results are written; the module docstring gives
+    # the measured wait.  The files hold these values exactly
     # (%.17g round-trips float64), so the fits use the generated sets rather
     # than reading the files back.
     jobs = [(train, out_dir / "train.csv"), (test, out_dir / "test.csv")]

@@ -123,6 +123,15 @@ class TestTrain:
         assert set(model) >= {"weights", "config", "objective_trace"}
         assert len(model["weights"]) == 5  # intercept appended by default
 
+    def test_erm_forms_no_preconditioner(self, tmp_path, capsys, monkeypatch):
+        def unused(data, args):
+            raise AssertionError("the closed-form ERM fit needs no inverse Gram")
+
+        monkeypatch.setattr(tailopt.cli, "_preconditioner", unused)
+        data, _ = write_consistent_csv(tmp_path)
+        argv = ["train", "--data", str(data), "--out", str(tmp_path / "m.json"), "--objective", "erm"]
+        assert run_cli(capsys, argv)[0] == 0
+
     def test_level_zero_matches_erm(self, tmp_path, capsys):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((80, 4))
@@ -223,7 +232,7 @@ class TestTrain:
         assert lines == []
         assert err.startswith("error: ")
 
-    def test_gram_overflow_leaves_lbfgs_unpreconditioned(self, capsys):
+    def test_gram_overflow_leaves_lbfgs_unpreconditioned(self):
         # Features near 1e160 overflow X^T X; the fit then starts from the
         # identity, and the oracle reports the non-finite losses (exit 4).
         rng = np.random.default_rng(0)
@@ -773,6 +782,7 @@ class TestExperiment:
             ],
         )
         assert code == 0
+        assert len(configs) == 3
         M = configs[0].preconditioner
         assert all(config.preconditioner is M for config in configs)
         if algorithm == "subgradient":

@@ -111,7 +111,8 @@ class TestSolverConfig:
         rng = np.random.default_rng(0)
         X = rng.standard_normal((50, 7))
         M = np.linalg.pinv(X.T @ X / 50, hermitian=True)
-        oracle, w_star, _ = quadratic_oracle(X.T @ X / 50, np.ones(7))
+        assert not np.array_equal(M, M.T)
+        oracle, _, _ = quadratic_oracle(X.T @ X / 50, np.ones(7))
         r = run_solver(oracle, SolverConfig(initial_point=np.zeros(7), preconditioner=M))
         assert r.termination is Termination.GRAD_TOL
 
@@ -786,6 +787,7 @@ class TestLbfgs:
                 plain += plain_run.oracle_calls
                 preconditioned += run.oracle_calls
         assert preconditioned <= plain / 2
+
 
 def curvature_pairs(rng, d: int, count: int):
     """``count`` pairs (s, y = A s) for one SPD A with eigenvalues in
