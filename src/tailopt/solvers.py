@@ -312,21 +312,21 @@ class _Memory:
     form of Byrd, Nocedal & Schnabel (*Math. Prog.* 63, 1994), for the initial
     inverse Hessian H0 = gamma M, with M the identity when ``M`` is None.
 
-    Rows ``S[:k]`` and ``Y[:k]`` hold the k pairs, oldest first, and ``MY[:k]``
-    the rows M y (the rows of ``Y`` itself when M is the identity).  With
-    D = diag(S Y^T) and R the upper triangle of S Y^T, the memory keeps D,
-    Y M Y^T and R^-1, all in arrays of fixed size allocated once.  Appending a
-    pair costs O(k d + k^2), plus O(d^2) for M y; dropping the oldest one
-    takes the trailing blocks, since the trailing block of R^-1 is the
-    inverse of R's.
+    Rows ``S[:k]``, ``Y[:k]`` and ``MY[:k]`` hold the k pairs s, y and the
+    rows M y, oldest first.  With D = diag(S Y^T) and R the upper triangle of
+    S Y^T, the memory keeps D, Y M Y^T and R^-1, all in arrays of fixed size
+    allocated once.  Appending a pair costs O(k d + k^2), plus O(d^2) for
+    M y; dropping the oldest one takes the trailing blocks, since the
+    trailing block of R^-1 is the inverse of R's.
     """
 
     def __init__(self, d: int, M: np.ndarray | None = None):
         m = _LBFGS_MEMORY
         self.k = 0
-        self.M = None if M is None else np.asarray(M, dtype=float)
-        self.S, self.Y = np.empty((m, d)), np.empty((m, d))
-        self.MY = self.Y if M is None else np.empty((m, d))
+        # The identity's products are exact, so M = I gives the arithmetic of
+        # H0 = gamma I bit for bit.
+        self.M = np.eye(d) if M is None else np.asarray(M, dtype=float)
+        self.S, self.Y, self.MY = np.empty((m, d)), np.empty((m, d)), np.empty((m, d))
         self.D, self.YY = np.empty(m), np.empty((m, m))
         self.Rinv = np.zeros((m, m))  # stays upper triangular
 
@@ -336,20 +336,15 @@ class _Memory:
     def clear(self) -> None:
         self.k = 0
 
-    def times_M(self, v: np.ndarray) -> np.ndarray:
-        return v if self.M is None else self.M @ v
-
     def append(self, s: np.ndarray, y: np.ndarray, sy: float) -> None:
         """Store the pair (s, y) with s @ y = sy > 0, dropping the oldest when full."""
         S, Y, MY, D, YY, Rinv = self.S, self.Y, self.MY, self.D, self.YY, self.Rinv
         k = self.k
         if k == _LBFGS_MEMORY:
-            S[:-1], Y[:-1], D[:-1] = S[1:], Y[1:], D[1:]
-            if MY is not Y:
-                MY[:-1] = MY[1:]
+            S[:-1], Y[:-1], MY[:-1], D[:-1] = S[1:], Y[1:], MY[1:], D[1:]
             YY[:-1, :-1], Rinv[:-1, :-1] = YY[1:, 1:], Rinv[1:, 1:]
             k -= 1
-        My = self.times_M(y)
+        My = self.M @ y
         Rinv[:k, k] = (Rinv[:k, :k] @ (S[:k] @ y)) / -sy
         Rinv[k, k] = 1.0 / sy
         YY[k, :k] = YY[:k, k] = MY[:k] @ y
@@ -366,7 +361,7 @@ class _Memory:
         gamma = D[-1] / YY[-1, -1]  # numpy division: y @ M y may underflow to 0
         p = Rinv @ (S @ g)
         q = Rinv.T @ (D * p + gamma * (YY @ p - MY @ g))
-        return -(gamma * self.times_M(g) + S.T @ q - gamma * (MY.T @ p))
+        return -(gamma * (self.M @ g) + S.T @ q - gamma * (MY.T @ p))
 
 
 def _lbfgs(oracle: Oracle, x: np.ndarray, config: SolverConfig) -> Steps:
@@ -380,7 +375,8 @@ def _lbfgs(oracle: Oracle, x: np.ndarray, config: SolverConfig) -> Steps:
     in a few matrix products.  A quasi-Newton step fails when its direction
     is not a descent direction with a finite slope, or when its line search
     rejects every trial; the memory is then cleared and the step retried once
-    along -M g before failure is reported.
+    along -M g before failure is reported.  That retry, like the first step,
+    also fails at once when its slope -g @ M g is positive or NaN.
     """
     memory = _Memory(x.size, config.preconditioner)
     f, g = oracle(x)
@@ -398,8 +394,14 @@ def _lbfgs(oracle: Oracle, x: np.ndarray, config: SolverConfig) -> Steps:
         if step is Termination.LINE_SEARCH_FAILURE:
             memory.clear()
             with np.errstate(over="ignore", invalid="ignore"):
-                Mg = memory.times_M(g)
-            step = _backtrack(oracle, x, f, -Mg, -float(g @ Mg))
+                Mg = memory.M @ g
+                slope = -float(g @ Mg)
+            # A positive or NaN slope, from an M that is not positive
+            # semidefinite or from overflow, is no descent direction: the
+            # Armijo test would accept a rise in f along it.
+            if not slope <= 0.0:
+                return Termination.LINE_SEARCH_FAILURE
+            step = _backtrack(oracle, x, f, -Mg, slope)
         if isinstance(step, Termination):
             return step
         x_new, f_new, g_new = step

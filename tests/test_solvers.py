@@ -743,6 +743,26 @@ class TestLbfgs:
         assert np.array_equal(runs[0].solution, runs[1].solution)
         assert runs[0].termination is runs[1].termination
 
+    @pytest.mark.parametrize(
+        "M, x0", [(-np.eye(3), [1.0, 1.0, 1.0]), (np.diag([1.0, -1.0, 1.0]), [0.0, 1.0, 0.5])]
+    )
+    def test_ascent_preconditioner_fails_without_a_trial(self, M, x0):
+        # With M not positive semidefinite, -M g can point uphill; a positive
+        # slope -g @ M g ends the run before any search along it.
+        rec = RecordingOracle(lambda w: (float(w @ w), 2.0 * w))
+        r = run_solver(rec, SolverConfig(initial_point=np.array(x0), preconditioner=M))
+        assert r.termination is Termination.LINE_SEARCH_FAILURE
+        assert r.oracle_calls == 1
+
+    def test_gradient_in_the_preconditioners_null_space_makes_no_progress(self):
+        # A singular M with M g = 0 gives the zero direction and slope -0.0:
+        # the unit trial is x itself.
+        rec = RecordingOracle(lambda w: (float(w @ w), 2.0 * w))
+        M = np.diag([0.0, 1.0, 1.0])
+        r = run_solver(rec, SolverConfig(initial_point=np.array([1.0, 0.0, 0.0]), preconditioner=M))
+        assert r.termination is Termination.NO_PROGRESS
+        assert r.oracle_calls == 2
+
     def test_inverse_hessian_preconditioner_takes_the_newton_step(self):
         # On f = 0.5 w A w - b w with M = A^-1 the first step -M g is the
         # Newton step, and its unit trial lands on the minimiser.
