@@ -3,22 +3,16 @@
 Scriptability contract: machine-readable output is line-delimited JSON on
 stdout only; human-readable diagnostics go to stderr.  Exit codes: 0 success,
 2 flag or validation errors, 3 I/O errors, 4 solver failure (a singular ERM
-system, from collinear features, among them).  ``experiment`` writes its data
-CSVs from a child made by ``os.fork`` that overlaps the fits, and waits for it
-before the results.  At the default sizes, on a 2-vCPU Xeon, the child takes
-about 0.14-0.16 s, and the same writes take 0.08-0.10 s in-process.  The
-preconditioned L-BFGS fits end 0.13-0.14 s after the fork on the default
-command, and 0.08 s after it with ``--penalty entropic --mu 1``, so the
-results then wait 0.03 s and 0.06 s on the child.
+system, from collinear features, among them).  ``experiment`` opens its data
+CSVs before any fit, so a bad path exits 3 before training, and writes them
+after the fits, so both are complete when a fit exits 4.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import json
-import os
 import re
 import sys
 from pathlib import Path
@@ -324,84 +318,43 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-@contextlib.contextmanager
-def _csvs_written_in_child(jobs, target_column: str):
-    """Write each ``(dataset, path)`` job as :func:`save_csv` does, in a forked
-    child that runs alongside the ``with`` body and is waited for when it ends.
-
-    The files are opened first, so a bad path raises before the body runs,
-    and the datasets reach the child through the fork, unpickled.  The child
-    leaves through ``os._exit``, so it runs none of the parent's code and
-    flushes none of its buffers.  After a body that did not raise, the
-    child's ``OSError`` is raised again from its message, and any other
-    failure as one naming the files and the child's exit code.
-    """
-    with contextlib.ExitStack() as files:
-        handles = [files.enter_context(open(path, "w", newline="")) for _, path in jobs]
-        reader, writer = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(reader)
-            os.close(writer)
-            raise
-        if pid == 0:
-            try:
-                for (data, _), fh in zip(jobs, handles):
-                    with fh:
-                        dataio._write_csv(data, fh, target_column)
-                os._exit(0)
-            except OSError as exc:
-                os.write(writer, os.fsencode(str(exc)))
-            finally:
-                os._exit(1)
-        os.close(writer)
-    try:
-        yield
-    finally:
-        with open(reader, "rb") as pipe:
-            message = os.fsdecode(pipe.read())
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if message:
-        raise OSError(message)
-    if code:
-        names = " and ".join(str(path) for _, path in jobs)
-        raise OSError(f"writing {names}: writer process exited with code {code}")
-
-
 def cmd_experiment(args) -> int:
     _, train, test = _generate_pair(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # Writing the CSVs as %.17g text takes 0.08-0.10 s in-process at the
-    # default sizes, so a forked child writes them while the fits run, and is
-    # waited for before the results are written; the module docstring gives
-    # the measured wait.  The files hold these values exactly
-    # (%.17g round-trips float64), so the fits use the generated sets rather
-    # than reading the files back.
-    jobs = [(train, out_dir / "train.csv"), (test, out_dir / "test.csv")]
-    with _csvs_written_in_child(jobs, args.target_column):
-        train = append_intercept(train)
-        test = append_intercept(test)
-        preconditioner = _preconditioner(train, args)
-        rows = []
-        for name, objective, p in [("erm", "erm", 0.0)] + [
-            (f"p{p:g}", "superquantile", p) for p in TRAIN_P_LEVELS
-        ]:
-            _info(f"training {name} ...")
-            fit = _fit(train, args, objective, p, preconditioner)
-            if fit["termination"] == Termination.LINE_SEARCH_FAILURE.value:
-                _info(f"error: line search failed while training {name}")
-                return EXIT_SOLVER
-            report = residual_quantile_report(fit["weights"], test, REPORT_LEVELS)
-            rows.append(
-                {
-                    "model": name,
-                    "mean": report.mean,
-                    "q0.5": report.quantiles[0.5],
-                    "q0.9": report.quantiles[0.9],
-                }
-            )
+    # Opened before any fit, so a bad path fails first, and written in a
+    # ``finally``, so a failed fit still leaves both files complete.  They
+    # hold the generated values exactly (%.17g round-trips float64), so the
+    # fits use the generated sets rather than reading the files back.
+    with (
+        open(out_dir / "train.csv", "w", newline="") as train_csv,
+        open(out_dir / "test.csv", "w", newline="") as test_csv,
+    ):
+        try:
+            design = append_intercept(train)
+            held_out = append_intercept(test)
+            preconditioner = _preconditioner(design, args)
+            rows = []
+            for name, objective, p in [("erm", "erm", 0.0)] + [
+                (f"p{p:g}", "superquantile", p) for p in TRAIN_P_LEVELS
+            ]:
+                _info(f"training {name} ...")
+                fit = _fit(design, args, objective, p, preconditioner)
+                if fit["termination"] == Termination.LINE_SEARCH_FAILURE.value:
+                    _info(f"error: line search failed while training {name}")
+                    return EXIT_SOLVER
+                report = residual_quantile_report(fit["weights"], held_out, REPORT_LEVELS)
+                rows.append(
+                    {
+                        "model": name,
+                        "mean": report.mean,
+                        "q0.5": report.quantiles[0.5],
+                        "q0.9": report.quantiles[0.9],
+                    }
+                )
+        finally:
+            dataio._write_csv(train, train_csv, args.target_column)
+            dataio._write_csv(test, test_csv, args.target_column)
 
     results_path = out_dir / "results.csv"
     with open(results_path, "w", newline="") as fh:

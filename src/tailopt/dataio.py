@@ -150,7 +150,7 @@ def generate_targets(X: np.ndarray, w_bar: np.ndarray, spec: SyntheticSpec, seed
     return X @ w_bar + np.where(gaussian, eps_normal, eps_laplace)
 
 
-_CSV_CHUNK_ROWS = 1024
+_CSV_CHUNK_ROWS = 512
 
 
 def save_csv(data: Dataset, path, target_column: str = "target") -> None:
@@ -159,7 +159,7 @@ def save_csv(data: Dataset, path, target_column: str = "target") -> None:
     Feature columns are named x0..x{d-1}; 17 digits make the save/load round
     trip exact for float64.  The output is what :mod:`csv`'s default writer
     gives, CRLF line ends included, with every cell the bytes of ``%.17g``.
-    The body is formatted in blocks of 1,024 rows.  A block whose cells are
+    The body is formatted in blocks of 512 rows.  A block whose cells are
     all zero or lie in 1e-11 <= |x| < 2**52 is formatted by a numpy kernel
     that computes the 17 digits exactly in integer arithmetic; any other
     block, one with a subnormal, a tiny or huge value or a non-finite cell,

@@ -242,6 +242,9 @@ def _kernel_blocks(draw):
     return Dataset(table[:, :d], table[:, d])
 
 
+CHUNK = dataio._CSV_CHUNK_ROWS  # rows per formatted block
+
+
 class TestCsvFastPaths:
     @settings(
         max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -270,14 +273,14 @@ class TestCsvFastPaths:
         assert dataio._format_block(block) == (row_format * block.shape[0]) % tuple(block.ravel())
         assert dataio._format_block(np.array([[1e-11]])) is None
 
-    @pytest.mark.parametrize("n, bad_row", [(1025, 1024), (2500, 1500)])
+    @pytest.mark.parametrize("n, bad_row", [(CHUNK + 1, CHUNK), (2500, 1500)])
     def test_out_of_range_cell_sends_only_its_block_to_the_percent_line(
         self, tmp_path, monkeypatch, n, bad_row
     ):
         rng = np.random.default_rng(n)
         X = rng.choice([-1.0, 1.0], (n, 3)) * 10.0 ** rng.uniform(-10, 15, (n, 3))
         X[bad_row, 1] = 5e-324
-        X[::512, 2] = 0.0
+        X[:: CHUNK // 2, 2] = 0.0
         ds = Dataset(X, rng.uniform(1.0, 2.0, n))
         format_block, formatted = dataio._format_block, []
 
@@ -289,10 +292,10 @@ class TestCsvFastPaths:
         monkeypatch.setattr(dataio, "_format_block", spy)
         path = tmp_path / "d.csv"
         save_csv(ds, path)
-        assert formatted == [i != bad_row // 1024 for i in range(-(-n // 1024))]
+        assert formatted == [i != bad_row // CHUNK for i in range(-(-n // CHUNK))]
         assert path.read_bytes() == csv_writer_reference(ds)
 
-    @pytest.mark.parametrize("n", [1, 7, 1023, 1024, 1025, 2500])
+    @pytest.mark.parametrize("n", [1, 7, CHUNK - 1, CHUNK, CHUNK + 1, 2500])
     def test_save_matches_csv_writer_bytes(self, tmp_path, n):
         rng = np.random.default_rng(n)
         X = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300, size=(n, 3))
