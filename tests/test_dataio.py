@@ -1,5 +1,6 @@
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -308,6 +309,24 @@ class TestCsvFastPaths:
         back = load_csv(path)
         assert np.array_equal(back.features, ds.features)
         assert np.array_equal(back.targets, ds.targets)
+
+    def test_write_holds_one_block_at_a_time(self):
+        class Sink:
+            def write(self, text):
+                pass
+
+        def peak_bytes(n):
+            ds = random_lsq_dataset(n, n=n, d=40)
+            tracemalloc.start()
+            try:
+                dataio._write_csv(ds, Sink(), "target")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak_bytes(1)  # builds the formatting tables outside the measurements
+        small, large = peak_bytes(4 * CHUNK), peak_bytes(32 * CHUNK)
+        assert large < 1.25 * small
 
     def test_target_name_that_needs_quoting(self, tmp_path):
         ds = random_lsq_dataset(1, n=5, d=2)
