@@ -3,15 +3,15 @@
 Scriptability contract: machine-readable output is line-delimited JSON on
 stdout only; human-readable diagnostics go to stderr.  Exit codes: 0 success,
 2 flag or validation errors, 3 I/O errors, 4 solver failure (a singular ERM
-system, from collinear features, among them).  ``experiment`` opens its data
-CSVs before any fit, so a bad path exits 3 before training, and writes them
-after the fits, so both are complete when a fit exits 4.
+system, from collinear features, among them).  ``experiment`` creates its
+``train.csv`` and ``test.csv`` before any fit, so a bad path exits 3 before
+training, and writes them with :func:`~tailopt.dataio.save_csv` after the
+fits, so both are complete when a fit exits 4.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import re
 import sys
@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataio
 from .core import Dataset, EvaluationError, RiskParams, batch_losses
 from .dataio import (
     DataFormatError,
@@ -66,7 +65,6 @@ def _add_synthetic_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--laplace-loc", type=_finite, default=10.0)
     p.add_argument("--laplace-scale", type=_nonnegative, default=1.0)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--target-column", default="target")
 
 
 def _checked(convert, ok, expected: str):
@@ -214,8 +212,8 @@ def _fit(data: Dataset, args, objective: str, p: float, preconditioner) -> dict:
 
 def cmd_gen_data(args) -> int:
     spec, train, test = _generate_pair(args)
-    save_csv(train, args.out_train, target_column=args.target_column)
-    save_csv(test, args.out_test, target_column=args.target_column)
+    save_csv(train, args.out_train)
+    save_csv(test, args.out_test)
     _emit(
         {
             "command": "gen-data",
@@ -322,48 +320,44 @@ def cmd_experiment(args) -> int:
     _, train, test = _generate_pair(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # Opened before any fit, so a bad path fails first, and written in a
+    # Created before any fit, so a bad path fails first, and written in a
     # ``finally``, so a failed fit still leaves both files complete.  They
     # hold the generated values exactly (%.17g round-trips float64), so the
     # fits use the generated sets rather than reading the files back.
-    with (
-        open(out_dir / "train.csv", "w", newline="") as train_csv,
-        open(out_dir / "test.csv", "w", newline="") as test_csv,
-    ):
-        try:
-            design = append_intercept(train)
-            held_out = append_intercept(test)
-            preconditioner = _preconditioner(design, args)
-            rows = []
-            for name, objective, p in [("erm", "erm", 0.0)] + [
-                (f"p{p:g}", "superquantile", p) for p in TRAIN_P_LEVELS
-            ]:
-                _info(f"training {name} ...")
-                fit = _fit(design, args, objective, p, preconditioner)
-                if fit["termination"] == Termination.LINE_SEARCH_FAILURE.value:
-                    _info(f"error: line search failed while training {name}")
-                    return EXIT_SOLVER
-                report = residual_quantile_report(fit["weights"], held_out, REPORT_LEVELS)
-                rows.append(
-                    {
-                        "model": name,
-                        "mean": report.mean,
-                        "q0.5": report.quantiles[0.5],
-                        "q0.9": report.quantiles[0.9],
-                    }
-                )
-        finally:
-            dataio._write_csv(train, train_csv, args.target_column)
-            dataio._write_csv(test, test_csv, args.target_column)
+    for name in ("train.csv", "test.csv"):
+        open(out_dir / name, "w").close()
+    try:
+        design = append_intercept(train)
+        held_out = append_intercept(test)
+        preconditioner = _preconditioner(design, args)
+        rows = []
+        for name, objective, p in [("erm", "erm", 0.0)] + [
+            (f"p{p:g}", "superquantile", p) for p in TRAIN_P_LEVELS
+        ]:
+            _info(f"training {name} ...")
+            fit = _fit(design, args, objective, p, preconditioner)
+            if fit["termination"] == Termination.LINE_SEARCH_FAILURE.value:
+                _info(f"error: line search failed while training {name}")
+                return EXIT_SOLVER
+            report = residual_quantile_report(fit["weights"], held_out, REPORT_LEVELS)
+            rows.append(
+                {
+                    "model": name,
+                    "mean": report.mean,
+                    "q0.5": report.quantiles[0.5],
+                    "q0.9": report.quantiles[0.9],
+                }
+            )
+    finally:
+        save_csv(train, out_dir / "train.csv")
+        save_csv(test, out_dir / "test.csv")
 
     results_path = out_dir / "results.csv"
-    with open(results_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "mean", "q0.5", "q0.9"])
-        for row in rows:
-            writer.writerow(
-                [row["model"], f"{row['mean']:.17g}", f"{row['q0.5']:.17g}", f"{row['q0.9']:.17g}"]
-            )
+    table = [["model", "mean", "q0.5", "q0.9"]] + [
+        [row["model"]] + [f"{row[k]:.17g}" for k in ("mean", "q0.5", "q0.9")] for row in rows
+    ]
+    # No cell needs quoting, so these are csv.writer's bytes.
+    results_path.write_bytes("".join(",".join(cells) + "\r\n" for cells in table).encode())
 
     by_model = {row["model"]: row for row in rows}
     q90 = [by_model[m]["q0.9"] for m in ("erm", "p0.5", "p0.7", "p0.9")]
@@ -400,6 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train and evaluate tail-risk (superquantile) linear models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    target_help = "target name, matched after stripping spaces; it must name exactly one column"
 
     p_gen = sub.add_parser("gen-data", help="write synthetic train/test CSVs")
     _add_synthetic_flags(p_gen)
@@ -411,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--data", required=True)
     p_train.add_argument("--out", required=True)
     p_train.add_argument("--objective", choices=["erm", "superquantile"], default="superquantile")
-    p_train.add_argument("--target-column", default="target")
+    p_train.add_argument("--target-column", default="target", help=target_help)
     p_train.add_argument("--p", type=_tail_level, default=0.9, help="tail level")
     _add_fit_flags(p_train)
     # These two take their defaults from _add_fit_flags.
@@ -435,10 +430,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--levels", type=_levels, default="0.5,0.9", help="comma-separated levels in [0, 1)"
     )
-    p_eval.add_argument("--target-column", default="target")
+    p_eval.add_argument("--target-column", default="target", help=target_help)
     p_eval.set_defaults(func=cmd_eval)
 
-    p_exp = sub.add_parser("experiment", help="end-to-end synthetic study")
+    p_exp = sub.add_parser(
+        "experiment",
+        help="end-to-end synthetic study",
+        description="Fit ERM and the tail models on synthetic data and report test residual "
+        "quantiles.  gen-data with the same data flags writes the same train.csv and test.csv.",
+    )
     _add_synthetic_flags(p_exp)
     _add_fit_flags(p_exp)
     p_exp.add_argument("--out-dir", default="experiment_out")

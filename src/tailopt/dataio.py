@@ -153,35 +153,30 @@ def generate_targets(X: np.ndarray, w_bar: np.ndarray, spec: SyntheticSpec, seed
 _CSV_CHUNK_ROWS = 512
 
 
-def save_csv(data: Dataset, path, target_column: str = "target") -> None:
+def save_csv(data: Dataset, path) -> None:
     """Write the dataset with a header row and 17-significant-digit values.
 
-    Feature columns are named x0..x{d-1}; 17 digits make the save/load round
-    trip exact for float64.  The output is what :mod:`csv`'s default writer
-    gives, CRLF line ends included, with every cell the bytes of ``%.17g``.
-    The body is formatted in blocks of 512 rows.  A block whose cells are
-    all zero or lie in 1e-11 <= |x| < 2**52 is formatted by a numpy kernel
-    that computes the 17 digits exactly in integer arithmetic; any other
-    block, one with a subnormal, a tiny or huge value or a non-finite cell,
-    goes through Python's ``%`` operator, so one such cell costs only its own
-    block.
+    The header is x0..x{d-1} and then ``target``, the name :func:`load_csv`
+    reads by default; 17 digits make the save/load round trip exact for
+    float64.  The output is what :mod:`csv`'s default writer gives, CRLF line
+    ends included, with every cell the bytes of ``%.17g``.  The body is
+    formatted in blocks of 512 rows.  A block whose cells are all zero or lie
+    in 1e-11 <= |x| < 2**52 is formatted by a numpy kernel that computes the
+    17 digits exactly in integer arithmetic; any other block, one with a
+    subnormal, a tiny or huge value or a non-finite cell, goes through
+    Python's ``%`` operator, so one such cell costs only its own block.
     """
-    with open(path, "w", newline="") as fh:
-        _write_csv(data, fh, target_column)
-
-
-def _write_csv(data: Dataset, fh, target_column: str) -> None:
-    """:func:`save_csv`'s output, written to a text file opened with ``newline=""``."""
     row_format = ",".join(["%.17g"] * (data.d + 1)) + "\r\n"
-    csv.writer(fh).writerow([f"x{j}" for j in range(data.d)] + [target_column])
-    for i in range(0, data.n, _CSV_CHUNK_ROWS):
-        block = np.column_stack(
-            (data.features[i : i + _CSV_CHUNK_ROWS], data.targets[i : i + _CSV_CHUNK_ROWS])
-        )
-        text = _format_block(block)
-        if text is None:
-            text = (row_format * block.shape[0]) % tuple(block.ravel().tolist())
-        fh.write(text)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow([f"x{j}" for j in range(data.d)] + ["target"])
+        for i in range(0, data.n, _CSV_CHUNK_ROWS):
+            block = np.column_stack(
+                (data.features[i : i + _CSV_CHUNK_ROWS], data.targets[i : i + _CSV_CHUNK_ROWS])
+            )
+            text = _format_block(block)
+            if text is None:
+                text = (row_format * block.shape[0]) % tuple(block.ravel().tolist())
+            fh.write(text)
 
 
 @functools.cache
@@ -339,27 +334,30 @@ def _chunks(x):
 def load_csv(path, target_column: str = "target") -> Dataset:
     """Read a headered numeric CSV into a dataset.
 
-    Raises FileNotFoundError for a missing file, :class:`MissingColumnError`
-    if the target column is absent, :class:`EmptyDatasetError` for a file with
-    no data rows, and :class:`NonNumericCellError` naming the 1-based data row
-    of the first cell that fails to parse or parses to a NaN or an infinity.
+    Header names and ``target_column`` are matched with surrounding spaces
+    stripped.  Raises FileNotFoundError for a missing file,
+    :class:`MissingColumnError` if the target column is absent,
+    :class:`DataFormatError` if it names more than one column,
+    :class:`EmptyDatasetError` for a file with no data rows, and
+    :class:`NonNumericCellError` naming the 1-based data row of the first
+    cell that fails to parse or parses to a NaN or an infinity.
     """
+    target = target_column.strip()
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None:
             raise EmptyDatasetError(f"{path}: empty dataset (no header row)")
         header = [h.strip() for h in header]
-        if target_column not in header:
-            raise MissingColumnError(
-                f"{path}: target column {target_column!r} not found in header {header}"
-            )
-        tidx = header.index(target_column)
+        found = header.count(target)
+        if found != 1:
+            error = MissingColumnError if found == 0 else DataFormatError
+            raise error(f"{path}: target {target!r} matches {found} columns of header {header}")
+        tidx = header.index(target)
         table = _plain_numeric_table(fh, len(header))
-    if table is None:
-        # The row parser names the first offending row, and reads what the
-        # plain-number reader does not (quoted cells, for one).
-        with open(path, newline="") as fh:
+        if table is None:
+            # The row parser names the first offending row, and reads what the
+            # plain-number reader does not (quoted cells, for one).
+            fh.seek(0)
             reader = csv.reader(fh)
             next(reader)
             table = _parse_rows(path, reader, len(header))

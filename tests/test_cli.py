@@ -456,6 +456,38 @@ class TestEval:
             assert err.splitlines()[-1] == f"error: {data}: non-finite cell at data row 3"
         assert not (tmp_path / "out.json").exists()
 
+    def test_target_named_twice_is_io_error(self, tmp_path, capsys):
+        # The header that `gen-data --target-column x0` used to write.
+        data = tmp_path / "twice.csv"
+        data.write_text("x0,x1,x2,x0\n" + "".join(f"{i}.0,1.0,2.0,{i}.5\n" for i in range(10)))
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps({"weights": [0.0] * 4, "config": {"intercept": True}}))
+        for argv in (
+            ["train", "--data", str(data), "--out", str(tmp_path / "out.json")],
+            ["eval", "--model", str(model), "--data", str(data)],
+        ):
+            code, out, err = run_cli(capsys, [*argv, "--target-column", "x0"])
+            assert code == 3
+            assert out == []
+            assert "target 'x0' matches 2 columns" in err
+        assert not (tmp_path / "out.json").exists()
+
+    def test_target_column_is_matched_after_stripping(self, tmp_path, capsys):
+        data, _ = write_consistent_csv(tmp_path)
+        fits = []
+        for name in ("target", " target "):
+            out = tmp_path / f"{len(fits)}.json"
+            argv = ["train", "--data", str(data), "--out", str(out), "--objective", "erm"]
+            code, _, _ = run_cli(capsys, [*argv, "--target-column", name])
+            assert code == 0
+            fits.append(json.loads(out.read_text())["weights"])
+            code, lines, _ = run_cli(
+                capsys, ["eval", "--model", str(out), "--data", str(data), "--target-column", name]
+            )
+            assert code == 0
+            assert lines[-1]["mean"] <= 1e-12
+        assert fits[0] == fits[1]
+
     def test_nonfinite_model_weights_are_io_error(self, tmp_path, capsys):
         data, _ = write_consistent_csv(tmp_path)
         model = tmp_path / "m.json"
@@ -611,10 +643,10 @@ class TestExperiment:
         assert not (tmp_path / "exp" / "results.csv").exists()
 
     def test_oserror_in_csv_write_exits_three(self, tmp_path, capsys, monkeypatch):
-        def full_disk(data, fh, target_column):
-            raise OSError(errno.ENOSPC, "No space left on device", fh.name)
+        def full_disk(data, path):
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
 
-        monkeypatch.setattr(tailopt.dataio, "_write_csv", full_disk)
+        monkeypatch.setattr(tailopt.cli, "save_csv", full_disk)
         code, lines, err = self._experiment(tmp_path, capsys)
         assert code == 3
         assert "No space left on device" in err and "train.csv" in err
@@ -949,6 +981,19 @@ class TestDataFlags:
         argv = ["experiment", *TestExperiment.FLAGS, f"{flag}={value}", "--out-dir", str(out_dir)]
         self._exits_two_naming(capsys, argv, flag, value)
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["gen-data", "experiment"])
+    def test_target_column_is_not_a_data_flag(self, tmp_path, capsys, command):
+        # Every file these commands write ends its header in "target".
+        outputs = {
+            "gen-data": ["--out-train", str(tmp_path / "a.csv"), "--out-test", str(tmp_path / "b.csv")],
+            "experiment": ["--out-dir", str(tmp_path / "exp")],
+        }
+        with pytest.raises(SystemExit) as exc:
+            main([command, *TestExperiment.FLAGS, *outputs[command], "--target-column", "y"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --target-column y" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("value", ["abc", "1.5", "0.5,1", "-0.1", "0.5,nan", "0.5;0.9"])
     def test_bad_eval_levels(self, tmp_path, capsys, value):

@@ -1,5 +1,6 @@
 import csv
 import io
+import os
 import tracemalloc
 
 import numpy as np
@@ -196,6 +197,42 @@ class TestCsvRoundTrip:
         assert np.array_equal(ds.targets, [5.0, 6.0])
         assert np.array_equal(ds.features[:, 0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("header", ["x0,target,target", "target,x0, target "])
+    def test_target_named_twice_is_rejected(self, tmp_path, header):
+        # Fitting the first match would fit a column the user may not mean.
+        path = tmp_path / "twice.csv"
+        path.write_text(header + "\n1.0,2.0,3.0\n4.0,5.0,6.0\n")
+        with pytest.raises(DataFormatError, match="'target' matches 2 columns") as err:
+            load_csv(path)
+        assert not isinstance(err.value, MissingColumnError)
+
+    @pytest.mark.parametrize("name", [" y", "y ", " y "])
+    def test_target_name_is_stripped_like_the_header(self, tmp_path, name):
+        path = tmp_path / "spaced.csv"
+        path.write_text("x0, y\n1.0,5.0\n2.0,6.0\n")
+        ds = load_csv(path, target_column=name)
+        assert np.array_equal(ds.targets, [5.0, 6.0])
+        assert np.array_equal(ds.features[:, 0], [1.0, 2.0])
+
+    def test_row_parser_reads_the_same_handle_again(self, tmp_path, monkeypatch):
+        # A quoted cell sends the body to the row parser, which rereads the
+        # file from its start on the handle the header came from.
+        path = tmp_path / "quoted.csv"
+        path.write_text('x0,target\n"1.5",2.0\n3.0,4.0\n')
+        opened = []
+        real_open = open
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return real_open(*args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        ds = load_csv(path)
+        monkeypatch.undo()
+        assert opened == [path]
+        assert np.array_equal(ds.features[:, 0], [1.5, 3.0])
+        assert np.array_equal(ds.targets, [2.0, 4.0])
+
 
 def csv_writer_reference(data: Dataset, target_column: str = "target") -> bytes:
     """The file a row-by-row ``csv.writer`` with 17-digit cells writes."""
@@ -311,15 +348,11 @@ class TestCsvFastPaths:
         assert np.array_equal(back.targets, ds.targets)
 
     def test_write_holds_one_block_at_a_time(self):
-        class Sink:
-            def write(self, text):
-                pass
-
         def peak_bytes(n):
             ds = random_lsq_dataset(n, n=n, d=40)
             tracemalloc.start()
             try:
-                dataio._write_csv(ds, Sink(), "target")
+                save_csv(ds, os.devnull)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -332,9 +365,11 @@ class TestCsvFastPaths:
         ds = random_lsq_dataset(1, n=5, d=2)
         name = 'y, "raw"'
         path = tmp_path / "q.csv"
-        save_csv(ds, path, target_column=name)
+        body = csv_writer_reference(ds).split(b"\r\n", 1)[1]
+        path.write_bytes(b'x0,x1,"y, ""raw"""\r\n' + body)
         assert path.read_bytes() == csv_writer_reference(ds, name)
         back = load_csv(path, target_column=name)
+        assert np.array_equal(back.features, ds.features)
         assert np.array_equal(back.targets, ds.targets)
 
     def test_blank_line_is_a_short_row(self, tmp_path):
