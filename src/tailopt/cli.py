@@ -3,10 +3,10 @@
 Scriptability contract: machine-readable output is line-delimited JSON on
 stdout only; human-readable diagnostics go to stderr.  Exit codes: 0 success,
 2 flag or validation errors, 3 I/O errors, 4 solver failure (a singular ERM
-system, from collinear features, among them).  ``experiment`` creates its
-``train.csv`` and ``test.csv`` before any fit, so a bad path exits 3 before
-training, and writes them with :func:`~tailopt.dataio.save_csv` after the
-fits, so both are complete when a fit exits 4.
+system, from collinear features, among them).  ``train`` always appends the
+intercept and records the stripped target name; ``eval`` reuses both.  Before
+any fit, ``experiment`` deletes an old ``results.csv`` and creates the data
+files (a bad path exits 3 first) and fills them after the fits, even on exit 4.
 """
 
 from __future__ import annotations
@@ -211,6 +211,8 @@ def _fit(data: Dataset, args, objective: str, p: float, preconditioner) -> dict:
 
 
 def cmd_gen_data(args) -> int:
+    if Path(args.out_train).resolve() == Path(args.out_test).resolve():
+        raise ValueError(f"--out-train and --out-test name the same file: {args.out_train}")
     spec, train, test = _generate_pair(args)
     save_csv(train, args.out_train)
     save_csv(test, args.out_test)
@@ -236,10 +238,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    data = load_csv(args.data, target_column=args.target_column)
-    intercept = not args.no_intercept
-    if intercept:
-        data = append_intercept(data)
+    data = append_intercept(load_csv(args.data, target_column=args.target_column))
     preconditioner = _preconditioner(data, args) if args.objective == "superquantile" else None
     fit = _fit(data, args, args.objective, args.p, preconditioner)
     model = {
@@ -252,8 +251,8 @@ def cmd_train(args) -> int:
             "penalty": args.penalty,
             "algorithm": args.algorithm,
             "max_iters": args.max_iters,
-            "intercept": intercept,
-            "target_column": args.target_column,
+            "intercept": True,
+            "target_column": args.target_column.strip(),
         },
         "objective_trace": fit["objective_trace"],
         "termination": fit["termination"],
@@ -281,23 +280,22 @@ def _load_model(path):
         try:
             model = json.load(fh)
             w = np.asarray(model["weights"], dtype=float)
-            intercept = bool(model.get("config", {}).get("intercept", False))
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            target = model["config"]["target_column"]
+        except (ValueError, KeyError, TypeError) as exc:
             raise DataFormatError(f"{path}: not a model file: {exc!r}") from exc
     if w.ndim != 1 or not np.isfinite(w).all():
         raise DataFormatError(f"{path}: weights must be a list of finite numbers")
-    return w, intercept
+    if not isinstance(target, str):
+        raise DataFormatError(f"{path}: config.target_column must be a string, got {target!r}")
+    return w, target
 
 
 def cmd_eval(args) -> int:
-    w, intercept = _load_model(args.model)
-    data = load_csv(args.data, target_column=args.target_column)
-    if intercept:
-        data = append_intercept(data)
+    w, target = _load_model(args.model)
+    data = append_intercept(load_csv(args.data, target_column=target))
     if w.size != data.d:
-        columns = f"{data.d} columns (intercept appended)" if intercept else f"{data.d} columns"
         raise DataFormatError(
-            f"{args.model}: model has {w.size} weights but {args.data} gives {columns}"
+            f"{args.model}: {w.size} weights, but {args.data} has {data.d - 1} features + intercept"
         )
     report = residual_quantile_report(w, data, args.levels)
     _emit(
@@ -320,10 +318,10 @@ def cmd_experiment(args) -> int:
     _, train, test = _generate_pair(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # Created before any fit, so a bad path fails first, and written in a
-    # ``finally``, so a failed fit still leaves both files complete.  They
-    # hold the generated values exactly (%.17g round-trips float64), so the
-    # fits use the generated sets rather than reading the files back.
+    # An old results.csv goes and the data are created before any fit, and
+    # written in a ``finally``.  They hold the generated values exactly (%.17g
+    # round-trips float64), so the fits use the generated sets, not the files.
+    (out_dir / "results.csv").unlink(missing_ok=True)
     for name in ("train.csv", "test.csv"):
         open(out_dir / name, "w").close()
     try:
@@ -394,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train and evaluate tail-risk (superquantile) linear models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    target_help = "target name, matched after stripping spaces; it must name exactly one column"
 
     p_gen = sub.add_parser("gen-data", help="write synthetic train/test CSVs")
     _add_synthetic_flags(p_gen)
@@ -406,7 +403,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--data", required=True)
     p_train.add_argument("--out", required=True)
     p_train.add_argument("--objective", choices=["erm", "superquantile"], default="superquantile")
-    p_train.add_argument("--target-column", default="target", help=target_help)
+    p_train.add_argument(
+        "--target-column",
+        default="target",
+        help="target name, matched after stripping spaces, of exactly one column; eval reuses it",
+    )
     p_train.add_argument("--p", type=_tail_level, default=0.9, help="tail level")
     _add_fit_flags(p_train)
     # These two take their defaults from _add_fit_flags.
@@ -417,20 +418,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="stop lbfgs when its best objective gains at most this over 10 iterations; "
         "0 disables it, and the other algorithms ignore it",
     )
-    p_train.add_argument(
-        "--no-intercept",
-        action="store_true",
-        help="do not append a constant-1 feature column before training",
-    )
     p_train.set_defaults(func=cmd_train)
 
-    p_eval = sub.add_parser("eval", help="report residual quantiles of a trained model")
+    p_eval = sub.add_parser(
+        "eval",
+        help="report residual quantiles of a trained model",
+        description="Report residual quantiles; the model gives the target column and intercept.",
+    )
     p_eval.add_argument("--model", required=True)
     p_eval.add_argument("--data", required=True)
     p_eval.add_argument(
         "--levels", type=_levels, default="0.5,0.9", help="comma-separated levels in [0, 1)"
     )
-    p_eval.add_argument("--target-column", default="target", help=target_help)
     p_eval.set_defaults(func=cmd_eval)
 
     p_exp = sub.add_parser(

@@ -103,6 +103,22 @@ class TestGenData:
         assert (tmp_path / "train_a.csv").read_bytes() == (tmp_path / "train_b.csv").read_bytes()
         assert (tmp_path / "test_a.csv").read_bytes() == (tmp_path / "test_b.csv").read_bytes()
 
+    def test_one_path_for_both_outputs_exits_two_before_writing(self, tmp_path, capsys, monkeypatch):
+        # The test set would overwrite the train set, yet train_rows would say 30.
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path)
+        code, lines, err = run_cli(
+            capsys,
+            [
+                "gen-data", "--n", "30", "--d", "3", "--rank", "2", "--test-n", "5",
+                "--out-train", "same.csv", "--out-test", str(tmp_path / "sub" / ".." / "same.csv"),
+            ],
+        )
+        assert code == 2
+        assert lines == []
+        assert err.splitlines() == ["error: --out-train and --out-test name the same file: same.csv"]
+        assert not (tmp_path / "same.csv").exists()
+
 
 class TestTrain:
     def test_erm_on_consistent_system(self, tmp_path, capsys):
@@ -423,7 +439,15 @@ class TestEval:
 
     @pytest.mark.parametrize(
         "text",
-        ['{"weights": [1.0, ', '{"config": {}}', '{"weights": [0, 0, 0, 0], "config": 3}'],
+        [
+            '{"weights": [1.0, ',
+            '{"config": {}}',
+            '{"weights": [0, 0, 0, 0], "config": 3}',
+            # No target name: the model does not say which column it fitted.
+            '{"weights": [0, 0, 0, 0], "config": {"intercept": false}}',
+            '{"weights": [0, 0, 0, 0, 0], "config": {"intercept": true, "target_column": 3}}',
+            '{"weights": [0, 0, 0, 0, 0], "config": {"intercept": true, "target_column": null}}',
+        ],
     )
     def test_malformed_model_json_is_io_error(self, tmp_path, capsys, text):
         data, _ = write_consistent_csv(tmp_path)
@@ -445,7 +469,8 @@ class TestEval:
         lines[3] = ",".join(cells)
         data.write_text("\n".join(lines) + "\n")
         model = tmp_path / "m.json"
-        model.write_text(json.dumps({"weights": [0.0] * 5, "config": {"intercept": True}}))
+        config = {"intercept": True, "target_column": "target"}
+        model.write_text(json.dumps({"weights": [0.0] * 5, "config": config}))
         for argv in (
             ["train", "--data", str(data), "--out", str(tmp_path / "out.json")],
             ["eval", "--model", str(model), "--data", str(data)],
@@ -461,12 +486,13 @@ class TestEval:
         data = tmp_path / "twice.csv"
         data.write_text("x0,x1,x2,x0\n" + "".join(f"{i}.0,1.0,2.0,{i}.5\n" for i in range(10)))
         model = tmp_path / "m.json"
-        model.write_text(json.dumps({"weights": [0.0] * 4, "config": {"intercept": True}}))
+        config = {"intercept": True, "target_column": "x0"}
+        model.write_text(json.dumps({"weights": [0.0] * 4, "config": config}))
         for argv in (
-            ["train", "--data", str(data), "--out", str(tmp_path / "out.json")],
+            ["train", "--data", str(data), "--out", str(tmp_path / "out.json"), "--target-column", "x0"],
             ["eval", "--model", str(model), "--data", str(data)],
         ):
-            code, out, err = run_cli(capsys, [*argv, "--target-column", "x0"])
+            code, out, err = run_cli(capsys, argv)
             assert code == 3
             assert out == []
             assert "target 'x0' matches 2 columns" in err
@@ -480,37 +506,53 @@ class TestEval:
             argv = ["train", "--data", str(data), "--out", str(out), "--objective", "erm"]
             code, _, _ = run_cli(capsys, [*argv, "--target-column", name])
             assert code == 0
-            fits.append(json.loads(out.read_text())["weights"])
-            code, lines, _ = run_cli(
-                capsys, ["eval", "--model", str(out), "--data", str(data), "--target-column", name]
-            )
+            model = json.loads(out.read_text())
+            assert model["config"]["target_column"] == "target"
+            fits.append(model["weights"])
+            code, lines, _ = run_cli(capsys, ["eval", "--model", str(out), "--data", str(data)])
             assert code == 0
             assert lines[-1]["mean"] <= 1e-12
         assert fits[0] == fits[1]
 
+    def test_reads_the_target_column_the_model_was_trained_on(self, tmp_path, capsys):
+        # "y" is the fitted target; "target" is one more column that eval
+        # would otherwise read as the target, with "y" as a feature.
+        rng = np.random.default_rng(3)
+        x0, other = rng.standard_normal(50), rng.standard_normal(50)
+        data = tmp_path / "y.csv"
+        save_csv(Dataset(np.column_stack([x0, 2.0 * x0 + 1.0]), other), data)
+        data.write_text(data.read_text().replace("x0,x1,target", "x0,y,target"))
+        out = tmp_path / "m.json"
+        argv = ["train", "--data", str(data), "--out", str(out), "--objective", "erm"]
+        assert run_cli(capsys, [*argv, "--target-column", " y "])[0] == 0
+        assert json.loads(out.read_text())["config"]["target_column"] == "y"
+        code, lines, _ = run_cli(capsys, ["eval", "--model", str(out), "--data", str(data)])
+        assert code == 0
+        assert lines[-1]["mean"] <= 1e-12
+
     def test_nonfinite_model_weights_are_io_error(self, tmp_path, capsys):
         data, _ = write_consistent_csv(tmp_path)
         model = tmp_path / "m.json"
-        model.write_text('{"weights": [NaN, 0.0, 0.0, 0.0]}')
+        model.write_text('{"weights": [NaN, 0.0, 0.0, 0.0], "config": {"target_column": "target"}}')
         code, lines, err = run_cli(capsys, ["eval", "--model", str(model), "--data", str(data)])
         assert code == 3
         assert lines == []
-        assert str(model) in err
+        assert err.splitlines() == [f"error: {model}: weights must be a list of finite numbers"]
 
     def test_dimension_mismatch_names_file_and_dimensions(self, tmp_path, capsys):
         data, _ = write_consistent_csv(tmp_path)  # 4 feature columns
         model = tmp_path / "m.json"
-        model.write_text(json.dumps({"weights": [0.0, 0.0, 0.0]}))
+        model.write_text(json.dumps({"weights": [0.0] * 3, "config": {"target_column": "target"}}))
         code, lines, err = run_cli(capsys, ["eval", "--model", str(model), "--data", str(data)])
         assert code == 3
         assert lines == []
         assert str(model) in err and str(data) in err
-        assert "3 weights" in err and "4 columns" in err
+        assert "3 weights" in err and "4 features + intercept" in err
 
     def test_overflowing_residuals_keep_stdout_json(self, tmp_path, capsys):
         data, _ = write_consistent_csv(tmp_path)
         model = tmp_path / "m.json"
-        model.write_text(json.dumps({"weights": [1e300, 1e300, 1e300, 1e300]}))
+        model.write_text(json.dumps({"weights": [1e300] * 5, "config": {"target_column": "target"}}))
         code, lines, err = run_cli(capsys, ["eval", "--model", str(model), "--data", str(data)])
         assert code == 4
         assert lines == []
@@ -641,6 +683,30 @@ class TestExperiment:
         assert "training" not in err
         assert lines == []
         assert not (tmp_path / "exp" / "results.csv").exists()
+
+    def test_directory_in_place_of_results_csv_exits_before_any_fit(self, tmp_path, capsys):
+        (tmp_path / "exp" / "results.csv").mkdir(parents=True)
+        code, lines, err = self._experiment(tmp_path, capsys)
+        assert code == 3
+        assert err.startswith("error: [Errno 21] Is a directory: ")
+        assert "training" not in err
+        assert lines == []
+
+    def test_failed_run_leaves_no_old_results(self, tmp_path, capsys):
+        code, _, _ = self._experiment(tmp_path, capsys)
+        assert code == 0
+        assert (tmp_path / "exp" / "results.csv").exists()
+        code, lines, err = run_cli(
+            capsys,
+            [
+                "experiment", "--n", "300", "--d", "10", "--rank", "1", "--test-n", "50",
+                "--max-iters", "5", "--out-dir", str(tmp_path / "exp"),
+            ],
+        )
+        assert code == 4  # a singular ERM system
+        assert lines == []
+        assert "singular" in err
+        assert sorted(p.name for p in (tmp_path / "exp").iterdir()) == ["test.csv", "train.csv"]
 
     def test_oserror_in_csv_write_exits_three(self, tmp_path, capsys, monkeypatch):
         def full_disk(data, path):
@@ -982,17 +1048,23 @@ class TestDataFlags:
         self._exits_two_naming(capsys, argv, flag, value)
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("command", ["gen-data", "experiment"])
+    @pytest.mark.parametrize("command", ["gen-data", "experiment", "eval", "train"])
     def test_target_column_is_not_a_data_flag(self, tmp_path, capsys, command):
-        # Every file these commands write ends its header in "target".
-        outputs = {
-            "gen-data": ["--out-train", str(tmp_path / "a.csv"), "--out-test", str(tmp_path / "b.csv")],
-            "experiment": ["--out-dir", str(tmp_path / "exp")],
+        # Every file gen-data and experiment write ends its header in "target";
+        # eval takes the target name and the intercept from the model file, and
+        # train always appends the intercept.
+        data, model = str(tmp_path / "d.csv"), str(tmp_path / "m.json")
+        argv = {
+            "gen-data": [*TestExperiment.FLAGS, "--out-train", data, "--out-test", str(tmp_path / "b.csv")],
+            "experiment": [*TestExperiment.FLAGS, "--out-dir", str(tmp_path / "exp")],
+            "eval": ["--model", model, "--data", data],
+            "train": ["--data", data, "--out", model],
         }
+        flags = ["--no-intercept"] if command == "train" else ["--target-column", "y"]
         with pytest.raises(SystemExit) as exc:
-            main([command, *TestExperiment.FLAGS, *outputs[command], "--target-column", "y"])
+            main([command, *argv[command], *flags])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --target-column y" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("value", ["abc", "1.5", "0.5,1", "-0.1", "0.5,nan", "0.5;0.9"])
