@@ -4,15 +4,19 @@ Scriptability contract: machine-readable output is line-delimited JSON on
 stdout only; human-readable diagnostics go to stderr.  Exit codes: 0 success,
 2 flag or validation errors, 3 I/O errors, 4 solver failure (a singular ERM
 system, from collinear features, among them).  ``train`` always appends the
-intercept and records the stripped target name; ``eval`` reuses both.  Before
-any fit, ``experiment`` deletes an old ``results.csv`` and creates the data
-files (a bad path exits 3 first) and fills them after the fits, even on exit 4.
+intercept and records the stripped target name; ``eval`` reuses both.  A bad
+output path exits 3 before any row is written: ``gen-data`` creates both files
+before it writes either, ``train`` checks ``--out`` before it reads the data,
+and ``experiment`` deletes an old ``results.csv`` and creates its data files
+before any fit, and fills them after the fits, even on exit 4.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -151,26 +155,9 @@ def _generate_pair(args):
     return spec, Dataset(X_train, y_train), Dataset(X_test, y_test)
 
 
-def _preconditioner(data: Dataset, args) -> np.ndarray | None:
-    """The preconditioner of the L-BFGS fits on ``data``: (X^T X / n)^+, the
-    pseudo-inverse of the features' Gram matrix, which holds most of the
-    curvature of a margin loss.  None for the other algorithms, and when the
-    Gram overflows (features beyond about 1e154), so those fits start from the
-    identity.  It costs O(n d^2 + d^3), once per training set."""
-    if Algorithm(args.algorithm) is not Algorithm.LBFGS:
-        return None
-    X = data.features
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = (X.T @ X) / data.n
-    if not np.isfinite(gram).all():
-        return None
-    return np.linalg.pinv(gram, hermitian=True)
-
-
-def _fit(data: Dataset, args, objective: str, p: float, preconditioner) -> dict:
+def _fit(data: Dataset, args, objective: str, p: float) -> dict:
     """Train ``objective`` at tail level ``p`` on a prepared dataset with the
-    solver flags in ``args``; return weights plus run metadata.  L-BFGS fits
-    take ``preconditioner``, from :func:`_preconditioner` on ``data``."""
+    solver flags in ``args``; return weights plus run metadata."""
     loss = LinearLeastSquares()
     if objective == "erm":
         w = ols_closed_form(data)
@@ -198,7 +185,7 @@ def _fit(data: Dataset, args, objective: str, p: float, preconditioner) -> dict:
         grad_tol=args.grad_tol,
         f_tol=args.f_tol,
         initial_point=np.zeros(data.d),
-        preconditioner=preconditioner,
+        preconditioner=data._inverse_gram if algo is Algorithm.LBFGS else None,
     )
     result = run_solver(oracle, config)
     return {
@@ -214,6 +201,8 @@ def cmd_gen_data(args) -> int:
     if Path(args.out_train).resolve() == Path(args.out_test).resolve():
         raise ValueError(f"--out-train and --out-test name the same file: {args.out_train}")
     spec, train, test = _generate_pair(args)
+    for path in (args.out_train, args.out_test):
+        open(path, "w").close()
     save_csv(train, args.out_train)
     save_csv(test, args.out_test)
     _emit(
@@ -238,9 +227,12 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
+    out = Path(args.out)
+    if out.is_dir() or not out.parent.is_dir():
+        code = errno.EISDIR if out.is_dir() else errno.ENOENT  # OSError picks the subclass
+        raise OSError(code, os.strerror(code), args.out)
     data = append_intercept(load_csv(args.data, target_column=args.target_column))
-    preconditioner = _preconditioner(data, args) if args.objective == "superquantile" else None
-    fit = _fit(data, args, args.objective, args.p, preconditioner)
+    fit = _fit(data, args, args.objective, args.p)
     model = {
         "weights": [float(v) for v in fit["weights"]],
         "config": {
@@ -258,8 +250,7 @@ def cmd_train(args) -> int:
         "termination": fit["termination"],
         "final_objective": fit["final_objective"],
     }
-    with open(args.out, "w") as fh:
-        json.dump(model, fh)
+    out.write_text(json.dumps(model))
     _emit(
         {
             "command": "train",
@@ -318,22 +309,19 @@ def cmd_experiment(args) -> int:
     _, train, test = _generate_pair(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # An old results.csv goes and the data are created before any fit, and
-    # written in a ``finally``.  They hold the generated values exactly (%.17g
-    # round-trips float64), so the fits use the generated sets, not the files.
+    # %.17g round-trips float64, so the fits use the generated sets, not the files.
     (out_dir / "results.csv").unlink(missing_ok=True)
     for name in ("train.csv", "test.csv"):
         open(out_dir / name, "w").close()
     try:
         design = append_intercept(train)
         held_out = append_intercept(test)
-        preconditioner = _preconditioner(design, args)
         rows = []
         for name, objective, p in [("erm", "erm", 0.0)] + [
             (f"p{p:g}", "superquantile", p) for p in TRAIN_P_LEVELS
         ]:
             _info(f"training {name} ...")
-            fit = _fit(design, args, objective, p, preconditioner)
+            fit = _fit(design, args, objective, p)
             if fit["termination"] == Termination.LINE_SEARCH_FAILURE.value:
                 _info(f"error: line search failed while training {name}")
                 return EXIT_SOLVER

@@ -53,9 +53,9 @@ class Dataset:
     instances are immutable and safe to share across threads.  Non-finite
     entries are rejected eagerly with the offending sample index.
 
-    ``features`` is row-major.  The oracles also read a read-only column-major
-    copy, which costs one more n-by-d float64 array: it is made on the first
-    oracle call, not at construction, and is as safe to share as the rest.
+    ``features`` is row-major.  The oracles read a column-major copy (one more
+    n-by-d float64 array) and L-BFGS the inverse Gram matrix, both read-only,
+    made on first use, not at construction, and as safe to share as the rest.
     """
 
     features: np.ndarray
@@ -100,6 +100,17 @@ class Dataset:
         X = np.asfortranarray(self.features)
         X.setflags(write=False)
         return X
+
+    @cached_property
+    def _inverse_gram(self) -> np.ndarray | None:
+        # (X^T X / n)^+; None when the Gram overflows (features beyond about 1e154).
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = (self.features.T @ self.features) / self.n
+        if not np.isfinite(gram).all():
+            return None
+        M = np.linalg.pinv(gram, hermitian=True)
+        M.setflags(write=False)
+        return M
 
 
 def _check_level(p: float) -> None:

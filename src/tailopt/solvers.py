@@ -7,8 +7,8 @@ oracle, which take their base step from :func:`tune_initial_step` at the
 first iterate, or L-BFGS, meant for the smoothed one, which keeps its newest
 100 curvature pairs in compact form.  L-BFGS starts from the initial inverse
 Hessian gamma M for an optional preconditioner M in the config; the CLI
-passes the pseudo-inverse of the features' Gram matrix X^T X / n, where most
-of a margin loss's curvature lies.  Each method is a step generator
+passes ``Dataset._inverse_gram``, (X^T X / n)^+, where most of a margin
+loss's curvature lies.  Each method is a step generator
 ``(oracle, x0, config)`` that yields its evaluated iterates ``(x, f, g)``
 one at a time, starting with ``x0``; it only decides where to evaluate
 next.  A generator that returns ends the run with the

@@ -45,6 +45,20 @@ def run_module(argv):
     return run_python("-m", "tailopt.cli", *argv)
 
 
+def record_pinv(monkeypatch):
+    """Record each ``np.linalg.pinv`` result, so a test can count the inverse
+    Gram matrices a command forms."""
+    results = []
+    pinv = np.linalg.pinv
+
+    def recording(*args, **kwargs):
+        results.append(pinv(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(np.linalg, "pinv", recording)
+    return results
+
+
 def write_consistent_csv(tmp_path, seed=0, n=60, d=4, name="data.csv"):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, d))
@@ -119,6 +133,20 @@ class TestGenData:
         assert err.splitlines() == ["error: --out-train and --out-test name the same file: same.csv"]
         assert not (tmp_path / "same.csv").exists()
 
+    def test_bad_test_path_exits_three_before_any_row(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, lines, err = run_cli(
+            capsys,
+            [
+                "gen-data", "--n", "30", "--d", "3", "--rank", "2", "--test-n", "5",
+                "--out-train", "ok.csv", "--out-test", "nodir/te.csv",
+            ],
+        )
+        assert code == 3
+        assert lines == []
+        assert err.startswith("error: ") and "'nodir/te.csv'" in err
+        assert (tmp_path / "ok.csv").read_bytes() == b""
+
 
 class TestTrain:
     def test_erm_on_consistent_system(self, tmp_path, capsys):
@@ -134,13 +162,11 @@ class TestTrain:
         assert len(model["weights"]) == 5  # intercept appended by default
 
     def test_erm_forms_no_preconditioner(self, tmp_path, capsys, monkeypatch):
-        def unused(data, args):
-            raise AssertionError("the closed-form ERM fit needs no inverse Gram")
-
-        monkeypatch.setattr(tailopt.cli, "_preconditioner", unused)
+        inverses = record_pinv(monkeypatch)
         data, _ = write_consistent_csv(tmp_path)
         argv = ["train", "--data", str(data), "--out", str(tmp_path / "m.json"), "--objective", "erm"]
         assert run_cli(capsys, argv)[0] == 0
+        assert inverses == []
 
     def test_level_zero_matches_erm(self, tmp_path, capsys):
         rng = np.random.default_rng(3)
@@ -247,8 +273,7 @@ class TestTrain:
         # identity, and the oracle reports the non-finite losses (exit 4).
         rng = np.random.default_rng(0)
         huge = Dataset(1e160 * rng.standard_normal((30, 3)), rng.standard_normal(30))
-        args = build_parser().parse_args(["train", "--data", "d.csv", "--out", "m.json"])
-        assert tailopt.cli._preconditioner(huge, args) is None
+        assert huge._inverse_gram is None
 
     def test_rank_one_features_fit_with_a_singular_gram(self, tmp_path, capsys):
         # --rank 1 gives nearly collinear columns, so X^T X / n is singular
@@ -360,6 +385,19 @@ class TestTrain:
         )
         assert code == 3
         assert "error" in err
+
+    @pytest.mark.parametrize("out", ["nodir/m.json", "a_dir"])
+    def test_bad_out_path_exits_three_before_reading_data(self, tmp_path, capsys, monkeypatch, out):
+        # The data file does not exist, so an error naming --out was raised
+        # before the data was read.
+        (tmp_path / "a_dir").mkdir()
+        monkeypatch.chdir(tmp_path)
+        code, lines, err = run_cli(capsys, ["train", "--data", "nope.csv", "--out", out])
+        assert code == 3
+        assert lines == []
+        assert err.startswith("error: ") and repr(out) in err and "nope.csv" not in err
+        assert sorted(os.listdir(tmp_path)) == ["a_dir"]
+        assert os.listdir(tmp_path / "a_dir") == []
 
     def test_bad_level_is_flag_error(self, tmp_path, capsys):
         data, _ = write_consistent_csv(tmp_path)
@@ -833,6 +871,24 @@ class TestExperiment:
         X = train.features
         np.testing.assert_allclose(M @ (X.T @ X / train.n), np.eye(train.d), atol=1e-8)
 
+    def test_inverse_gram_is_formed_once_per_training_set(self, tmp_path, capsys, monkeypatch):
+        # The default experiment's three L-BFGS fits share one read-only
+        # inverse Gram; the nonsmooth methods and the closed-form ERM form none.
+        data, _ = write_consistent_csv(tmp_path)
+        runs = [
+            ["experiment", *self.FLAGS, "--out-dir", str(tmp_path / "exp")],
+            ["experiment", *self.FLAGS, "--algorithm", "subgradient", "--out-dir", str(tmp_path / "sub")],
+            ["train", "--data", str(data), "--out", str(tmp_path / "m.json"), "--objective", "erm"],
+        ]
+        formed = []
+        for argv in runs:
+            with monkeypatch.context() as patch:
+                inverses = record_pinv(patch)
+                assert run_cli(capsys, argv)[0] == 0
+            formed.append(len(inverses))
+            assert all(not M.flags.writeable for M in inverses)
+        assert formed == [1, 0, 0]
+
     def test_same_seed_reproduces_results(self, tmp_path, capsys):
         args = [
             "experiment", "--seed", "3", "--n", "300", "--d", "8", "--rank", "4",
@@ -993,8 +1049,7 @@ class TestAlgorithmsAtDefaults:
         tail = {}
         for algo in Algorithm:
             args.algorithm = algo.value
-            preconditioner = tailopt.cli._preconditioner(train, args)
-            fit = tailopt.cli._fit(train, args, "superquantile", 0.9, preconditioner)
+            fit = tailopt.cli._fit(train, args, "superquantile", 0.9)
             if algo is not Algorithm.LBFGS:
                 assert fit["termination"] != Termination.F_TOL.value, algo
             tail[algo] = superquantile(batch_losses(LinearLeastSquares(), train, fit["weights"]), 0.9)

@@ -97,6 +97,19 @@ class TestDataset:
         jacobian_transpose_apply(LinearLeastSquares(), ds, np.zeros(4), np.full(30, 1 / 30))
         assert vars(ds)["_column_major"] is X
 
+    def test_inverse_gram_is_read_only_and_built_once(self):
+        ds = random_lsq_dataset(17, n=30, d=4)
+        assert "_inverse_gram" not in vars(ds)
+        M = ds._inverse_gram
+        assert not M.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            M[0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            ds._inverse_gram = np.eye(4)
+        assert ds._inverse_gram is M
+        X = ds.features
+        np.testing.assert_allclose(M @ (X.T @ X / ds.n), np.eye(4), atol=1e-10)
+
 
 class TestRiskParams:
     def test_cap_formula(self):
