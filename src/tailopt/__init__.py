@@ -6,6 +6,7 @@ exact subgradient or smoothed gradient oracles and batch first-order solvers.
 
 from .core import (
     Dataset,
+    DualWeights,
     EvaluationError,
     MarginLoss,
     Penalty,
@@ -15,14 +16,12 @@ from .core import (
     jacobian_transpose_apply,
 )
 from .superquantile import (
-    ExactOracleOutput,
     exact_oracle,
     exact_subgradient_weights,
     quantile,
     superquantile,
 )
 from .smoothing import (
-    SmoothedOracleOutput,
     smoothed_oracle,
     smoothed_weights_entropic,
     smoothed_weights_euclidean,
@@ -52,8 +51,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Algorithm",
     "Dataset",
+    "DualWeights",
     "EvaluationError",
-    "ExactOracleOutput",
     "LinearLeastSquares",
     "LinearLogistic",
     "MarginLoss",
@@ -61,7 +60,6 @@ __all__ = [
     "QuantileReport",
     "RiskParams",
     "SingularSystemError",
-    "SmoothedOracleOutput",
     "SolverConfig",
     "SolverResult",
     "SyntheticSpec",

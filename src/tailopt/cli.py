@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, EvaluationError, RiskParams, batch_losses
+from .core import Dataset, EvaluationError, Penalty, RiskParams, batch_losses
 from .dataio import (
     DataFormatError,
     SyntheticSpec,
@@ -120,7 +120,7 @@ def _add_fit_flags(p: argparse.ArgumentParser) -> None:
     flags for them.  No flag sets the step of subgradient and dual_averaging:
     the solver tunes it at the first iterate."""
     p.add_argument("--mu", type=_positive, default=1000.0, help="smoothing scale")
-    p.add_argument("--penalty", choices=["euclidean", "entropic"], default="euclidean")
+    p.add_argument("--penalty", choices=[pen.value for pen in Penalty], default="euclidean")
     p.add_argument(
         "--algorithm",
         choices=[a.value for a in Algorithm],

@@ -23,6 +23,7 @@ import numpy as np
 
 __all__ = [
     "Dataset",
+    "DualWeights",
     "EvaluationError",
     "MarginLoss",
     "Penalty",
@@ -140,6 +141,21 @@ class RiskParams:
     def cap(self, n: int) -> float:
         """Coordinate bound of the dual feasible set for ``n`` samples."""
         return 1.0 / (n * (1.0 - self.p))
+
+
+@dataclass(frozen=True)
+class DualWeights:
+    """One dual weight step at a loss vector: its value and maximizer.
+
+    ``weights`` lies in the capped simplex, and ``value`` is the objective of
+    the step's dual problem there: ``weights @ losses``, less mu times the
+    penalty for the smoothed steps.  ``support`` holds the ascending indices
+    of the nonzero weights, or is None when all of them are nonzero.
+    """
+
+    value: float
+    weights: np.ndarray
+    support: np.ndarray | None
 
 
 def check_dual_weights(q, cap: float, sum_tol: float = 1e-10, box_tol: float = 1e-12) -> np.ndarray:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -353,42 +352,30 @@ def load_csv(path, target_column: str = "target") -> Dataset:
             error = MissingColumnError if found == 0 else DataFormatError
             raise error(f"{path}: target {target!r} matches {found} columns of header {header}")
         tidx = header.index(target)
-        table = _plain_numeric_table(fh, len(header))
-        if table is None:
-            # The row parser names the first offending row, and reads what the
-            # plain-number reader does not (quoted cells, for one).
-            fh.seek(0)
-            reader = csv.reader(fh)
-            next(reader)
-            table = _parse_rows(path, reader, len(header))
+        lines = fh.readlines()
+    table = _plain_numeric_table(lines, len(header))
+    if table is None:
+        # The row parser names the first offending row, and reads what the
+        # plain-number reader does not (quoted cells, for one).
+        table = _parse_rows(path, csv.reader(lines), len(header))
     if not _all_finite(table):
         row = int(np.flatnonzero(~np.isfinite(table).all(axis=1))[0]) + 1
         raise NonNumericCellError(f"{path}: non-finite cell at data row {row}", row=row)
     return Dataset(np.delete(table, tidx, axis=1), table[:, tidx])
 
 
-def _plain_numeric_table(lines, n_columns: int) -> np.ndarray | None:
-    """The remaining lines as a float table when each holds exactly
-    ``n_columns`` plain numbers; None when one does not (blank, quoted,
-    short, ...) or there are none."""
-    n_lines = 0
-
-    def counted():
-        nonlocal n_lines
-        for line in lines:
-            n_lines += 1
-            yield line
-
-    body = counted()
+def _plain_numeric_table(lines: list[str], n_columns: int) -> np.ndarray | None:
+    """The lines as a float table when each holds exactly ``n_columns``
+    plain numbers; None when one does not (blank, quoted, short, ...) or
+    there are none."""
+    if not lines:  # loadtxt would warn of an empty input
+        return None
     try:
-        # next() raises StopIteration on an empty body, before loadtxt can
-        # warn about it.
-        rows = itertools.chain([next(body)], body)
-        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, dtype=float)
+        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=float)
     except Exception:  # any failure defers to the row parser and its errors
         return None
     # loadtxt skips blank lines, which the row parser rejects.
-    return table if table.shape == (n_lines, n_columns) else None
+    return table if table.shape == (len(lines), n_columns) else None
 
 
 def _parse_rows(path, rows, n_columns: int) -> np.ndarray:

@@ -16,9 +16,9 @@ Two penalties are supported:
 
   which is nondecreasing, continuous and piecewise affine with kinks at
   {u_i} and {u_i - mu*cap}.  The root is bracketed by two adjacent
-  breakpoints and found by one exact affine interpolation; on that piece
-  each coordinate is capped, zero or affine in lambda, and the affine ones
-  share the mass the capped ones leave.
+  breakpoints, and that bracket alone sets the weights: on that piece each
+  coordinate is capped, zero or affine in lambda, and the affine ones share
+  the mass the capped ones leave.
 
 * Entropic, d(q) = log(n) + sum_i q_i log q_i.  The maximizer is the capped
   softmax q_i = min(cap, c * exp(L_i / mu)); the number of capped coordinates
@@ -45,11 +45,9 @@ O(n) partition, with cap = 1/(n(1-p)) and r = ceil(1/cap) <= n:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import Dataset, EvaluationError, MarginLoss, Penalty, RiskParams
+from .core import Dataset, DualWeights, EvaluationError, MarginLoss, Penalty, RiskParams
 from .core import _check_level, _gradient, _losses, _loss_vector, _margins, _support
 from .core import check_dual_weights
 # The oracle's layer functions, kept as attributes of this module: the
@@ -57,7 +55,6 @@ from .core import check_dual_weights
 from .core import batch_losses, jacobian_transpose_apply  # noqa: F401
 
 __all__ = [
-    "SmoothedOracleOutput",
     "smoothed_oracle",
     "smoothed_weights_entropic",
     "smoothed_weights_euclidean",
@@ -66,23 +63,6 @@ __all__ = [
 # Widest span of the entropic tail-ratio block, in L/mu, that the shifted
 # cumulative sum handles: exp(-700) ~ 1e-304 is still a normal float.
 _EXP_SPAN = 700.0
-
-
-@dataclass(frozen=True)
-class SmoothedOracleOutput:
-    """Maximizer of the penalized dual problem at one loss vector.
-
-    ``value`` is the smoothed objective weights @ losses - mu * penalty_value,
-    ``lam`` the optimal scalar multiplier of the sum constraint.  ``support``
-    holds the ascending indices of the nonzero weights, or is None when all of
-    them are nonzero.
-    """
-
-    value: float
-    weights: np.ndarray
-    lam: float
-    penalty_value: float
-    support: np.ndarray | None
 
 
 def _validate(losses, p: float, mu: float) -> np.ndarray:
@@ -100,23 +80,20 @@ def _out_of_range(what: str, L: np.ndarray, mu: float) -> EvaluationError:
     )
 
 
-def _uniform_output(L: np.ndarray, lam: float) -> SmoothedOracleOutput:
+def _uniform_output(L: np.ndarray) -> DualWeights:
     # Degenerate feasible set: the uniform vector is the only point.
     n = L.size
     q = np.full(n, 1.0 / n)
-    return SmoothedOracleOutput(
-        value=float(q @ L), weights=q, lam=lam, penalty_value=0.0, support=None
-    )
+    return DualWeights(value=float(q @ L), weights=q, support=None)
 
 
-def smoothed_weights_euclidean(losses, p: float, mu: float) -> SmoothedOracleOutput:
+def smoothed_weights_euclidean(losses, p: float, mu: float) -> DualWeights:
     """Maximizer of q @ L - mu * 0.5 * ||q - e/n||^2 over the capped simplex."""
     L = _validate(losses, p, mu)
     n = L.size
     cap = 1.0 / (n * (1.0 - p))
     if p == 0.0 or n * cap <= 1.0:
-        # Boundary multiplier: every coordinate sits at the cap 1/n.
-        return _uniform_output(L, lam=float(np.min(L) + mu / n - mu * cap))
+        return _uniform_output(L)
 
     u = L + mu / n
     # The r largest u_i alone can fill the cap (r * cap >= 1; one extra for
@@ -128,7 +105,7 @@ def smoothed_weights_euclidean(losses, p: float, mu: float) -> SmoothedOracleOut
     m = uc.size
     us = np.sort(uc)
     # Losses near the float range overflow the prefix sums, which then fail
-    # the bracket check, or the interpolation for lam; numpy need not warn.
+    # the bracket check or the simplex check; numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
         pre = np.concatenate(([0.0], np.cumsum(us)))
         # Equal breakpoints get equal theta, so repeats never move the bracket.
@@ -143,14 +120,11 @@ def smoothed_weights_euclidean(losses, p: float, mu: float) -> SmoothedOracleOut
         if theta[b_idx] <= 0.0 or b_idx == 0:
             raise _out_of_range("Euclidean dual derivative not bracketed", L, mu)
         a, b = bps[b_idx - 1], bps[b_idx]
-        ta, tb = theta[b_idx - 1], theta[b_idx]
-        # theta is affine between adjacent breakpoints: interpolation is exact.
-        lam = float(a - ta * (b - a) / (tb - ta))
         top = uc - mu * cap >= b
     # On [a, b] the rest, the mid set, share the mass the capped coordinates
     # leave: offsets (L_i - L_ref)/mu to their largest loss plus one shift, so
-    # the weights sum to 1 whatever rounding lam carries.  Rounding that moved
-    # the bracket or merged breakpoints shows as weights off the simplex.
+    # the weights sum to 1 by construction.  Rounding that moved the bracket
+    # or merged breakpoints shows as weights off the simplex.
     mid = (uc > a) & ~top
     qc = cap * top
     Lm = L[idx[mid]]
@@ -168,11 +142,9 @@ def smoothed_weights_euclidean(losses, p: float, mu: float) -> SmoothedOracleOut
     # Each of the n - m zero weights contributes (1/n)^2.
     penalty = float(0.5 * (np.sum((qc - 1.0 / n) ** 2) + (n - m) / n**2))
     value = float(q @ L - mu * penalty)
-    return SmoothedOracleOutput(
+    return DualWeights(
         value=value,
         weights=q,
-        lam=lam,
-        penalty_value=penalty,
         support=None if support.size == n else support,
     )
 
@@ -204,15 +176,13 @@ def _tail_ratios(ascending: np.ndarray) -> np.ndarray:
     return R
 
 
-def smoothed_weights_entropic(losses, p: float, mu: float) -> SmoothedOracleOutput:
+def smoothed_weights_entropic(losses, p: float, mu: float) -> DualWeights:
     """Maximizer of q @ L - mu * (log n + sum q_i log q_i) over the capped simplex."""
     L = _validate(losses, p, mu)
     n = L.size
     cap = 1.0 / (n * (1.0 - p))
     if p == 0.0 or n * cap <= 1.0:
-        # Boundary normalizer: the smallest coordinate sits exactly at the cap.
-        logc = np.log(cap) - float(np.min(L)) / mu
-        return _uniform_output(L, lam=float(-mu * (logc + 1.0)))
+        return _uniform_output(L)
 
     # An L/mu past the float range leaves no cap count to find.
     try:
@@ -269,12 +239,9 @@ def smoothed_weights_entropic(losses, p: float, mu: float) -> SmoothedOracleOutp
     np.maximum(q, cap * ~uncapped, out=q)
     plogq = n_capped * cap * np.log(cap) + mass * np.log(mass / Z) + (mass / Z) * float(e @ d)
     penalty = max(float(np.log(n) + plogq), 0.0)
-    lam = float(-mu * (np.log(1.0 - kstar * cap) - np.log(R[i]) - s_max + 1.0))
-    return SmoothedOracleOutput(
+    return DualWeights(
         value=float(q @ L - mu * penalty),
         weights=q,
-        lam=lam,
-        penalty_value=penalty,
         support=_support(q),
     )
 

@@ -17,37 +17,18 @@ selection (no full sort), so it runs in O(n).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, MarginLoss, _check_level, _gradient, _losses, _loss_vector, _margins
+from .core import Dataset, DualWeights, MarginLoss, _check_level, _gradient, _losses, _loss_vector
+from .core import _margins
 
 __all__ = [
-    "ExactOracleOutput",
     "exact_oracle",
     "exact_subgradient_weights",
     "quantile",
     "superquantile",
 ]
-
-
-@dataclass(frozen=True)
-class ExactOracleOutput:
-    """Value and dual weights of the exact oracle at one loss vector.
-
-    ``weights`` lies in the capped simplex and attains the dual maximum, so
-    ``value`` is ``weights @ losses``, summed over the support.  ``quantile`` is the empirical p-quantile
-    and ``tie_set_size`` the number of samples whose loss equals it.
-    ``support`` holds the ascending indices of the nonzero weights, or is None
-    when all of them are nonzero.
-    """
-
-    value: float
-    weights: np.ndarray
-    quantile: float
-    tie_set_size: int
-    support: np.ndarray | None
 
 
 def quantile(losses, p: float) -> float:
@@ -76,17 +57,14 @@ def superquantile(losses, p: float) -> float:
     at p = 0 up to rounding.  Levels p >= 1 are rejected; use ``max`` for p = 1.
     """
     _check_level(p)
-    return _tail_weights(_loss_vector(losses), p)[3]
+    return _tail_weights(_loss_vector(losses), p)[2]
 
 
-def _tail_weights(
-    L: np.ndarray, p: float
-) -> tuple[float, np.ndarray | None, np.ndarray, float, int]:
+def _tail_weights(L: np.ndarray, p: float) -> tuple[np.ndarray | None, np.ndarray, float]:
     """The exact weight step on a finite loss vector, on the support only.
 
-    Returns the quantile, the support S (ascending indices of the nonzero
-    weights, or None when it holds all n samples), the weights on S, the value
-    q_S @ L_S and the number of samples tied with the quantile.
+    Returns the support S (ascending indices of the nonzero weights, or None
+    when it holds all n samples), the weights on S and the value q_S @ L_S.
     """
     n = L.size
     cap = 1.0 / (n * (1.0 - p))
@@ -103,10 +81,10 @@ def _tail_weights(
         qS = np.full(S.size, cap)
     else:
         qS = np.where(above, cap, cap * alpha)
-    return qv, None if S.size == n else S, qS, float(qS @ LS), n_tied
+    return None if S.size == n else S, qS, float(qS @ LS)
 
 
-def exact_subgradient_weights(losses, p: float) -> ExactOracleOutput:
+def exact_subgradient_weights(losses, p: float) -> DualWeights:
     """Dual weights realizing one canonical subgradient of the superquantile.
 
     Samples strictly above the quantile get the cap 1/(n(1-p)), samples
@@ -122,15 +100,13 @@ def exact_subgradient_weights(losses, p: float) -> ExactOracleOutput:
     """
     _check_level(p)
     L = _loss_vector(losses)
-    qv, S, qS, value, n_tied = _tail_weights(L, p)
+    S, qS, value = _tail_weights(L, p)
     if S is None:
         weights = qS
     else:
         weights = np.zeros(L.size)
         weights[S] = qS
-    return ExactOracleOutput(
-        value=value, weights=weights, quantile=qv, tie_set_size=n_tied, support=S
-    )
+    return DualWeights(value=value, weights=weights, support=S)
 
 
 def exact_oracle(
@@ -145,5 +121,5 @@ def exact_oracle(
     """
     _check_level(p)
     z = _margins(data, w)
-    _, S, qS, value, _ = _tail_weights(_losses(loss, data, z), p)
+    S, qS, value = _tail_weights(_losses(loss, data, z), p)
     return value, _gradient(loss, data, z, qS, S)

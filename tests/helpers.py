@@ -8,6 +8,7 @@ quantile function piece by piece.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -15,7 +16,6 @@ import numpy as np
 from scipy.optimize import linprog
 
 from tailopt.core import Dataset, EvaluationError
-from tailopt.smoothing import SmoothedOracleOutput
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +182,19 @@ def nonzero_support(q: np.ndarray):
     return None if len(nonzero) == len(q) else np.array(nonzero, dtype=np.intp)
 
 
-def sorting_weights_euclidean(losses, p: float, mu: float) -> SmoothedOracleOutput:
+@dataclass(frozen=True)
+class ReferenceWeights:
+    """A reference weight step: the fields of :class:`tailopt.DualWeights`
+    plus ``lam``, the multiplier of the sum constraint that the reference
+    solved for, which ``dual_value`` in the smoothing tests reads."""
+
+    value: float
+    weights: np.ndarray
+    lam: float
+    support: np.ndarray | None
+
+
+def sorting_weights_euclidean(losses, p: float, mu: float) -> ReferenceWeights:
     """Euclidean maximizer by a breakpoint search over all n sorted losses.
 
     The O(n log n) routine that :func:`tailopt.smoothing.smoothed_weights_euclidean`
@@ -194,9 +206,7 @@ def sorting_weights_euclidean(losses, p: float, mu: float) -> SmoothedOracleOutp
     if p == 0.0 or n * cap <= 1.0:
         q = np.full(n, 1.0 / n)
         lam = float(np.min(L) + mu / n - mu * cap)
-        return SmoothedOracleOutput(
-            value=float(q @ L), weights=q, lam=lam, penalty_value=0.0, support=None
-        )
+        return ReferenceWeights(value=float(q @ L), weights=q, lam=lam, support=None)
 
     u = L + mu / n
     us = np.sort(u)
@@ -229,16 +239,15 @@ def sorting_weights_euclidean(losses, p: float, mu: float) -> SmoothedOracleOutp
             lam += drift * mu / n_mid
             q = np.clip((u - lam) / mu, 0.0, cap)
     penalty = float(0.5 * np.sum((q - 1.0 / n) ** 2))
-    return SmoothedOracleOutput(
+    return ReferenceWeights(
         value=float(q @ L - mu * penalty),
         weights=q,
         lam=lam,
-        penalty_value=penalty,
         support=nonzero_support(q),
     )
 
 
-def sorting_weights_entropic(losses, p: float, mu: float) -> SmoothedOracleOutput:
+def sorting_weights_entropic(losses, p: float, mu: float) -> ReferenceWeights:
     """Entropic maximizer by a cap-count scan over all n sorted scaled losses.
 
     The O(n log n) routine that :func:`tailopt.smoothing.smoothed_weights_entropic`
@@ -252,9 +261,7 @@ def sorting_weights_entropic(losses, p: float, mu: float) -> SmoothedOracleOutpu
     if p == 0.0 or n * cap <= 1.0:
         q = np.full(n, 1.0 / n)
         lam = float(-mu * (np.log(cap) - float(np.min(L)) / mu + 1.0))
-        return SmoothedOracleOutput(
-            value=float(q @ L), weights=q, lam=lam, penalty_value=0.0, support=None
-        )
+        return ReferenceWeights(value=float(q @ L), weights=q, lam=lam, support=None)
 
     s = L / mu
     order = np.argsort(-s, kind="stable")
@@ -279,16 +286,15 @@ def sorting_weights_entropic(losses, p: float, mu: float) -> SmoothedOracleOutpu
         plogp = np.where(q > 0.0, q * np.log(q), 0.0)
     penalty = max(float(np.log(n) + plogp.sum()), 0.0)
     lam = float(-mu * (logc[kstar] + 1.0))
-    return SmoothedOracleOutput(
+    return ReferenceWeights(
         value=float(q @ L - mu * penalty),
         weights=q,
         lam=lam,
-        penalty_value=penalty,
         support=nonzero_support(q),
     )
 
 
-def scan_weights_entropic(losses, p: float, mu: float) -> SmoothedOracleOutput:
+def scan_weights_entropic(losses, p: float, mu: float) -> ReferenceWeights:
     """Entropic maximizer by a logaddexp scan over the K largest scaled losses.
 
     The top-K routine as it stood before the shifted cumulative sum and the
@@ -303,9 +309,7 @@ def scan_weights_entropic(losses, p: float, mu: float) -> SmoothedOracleOutput:
     if p == 0.0 or n * cap <= 1.0:
         q = np.full(n, 1.0 / n)
         lam = float(-mu * (np.log(cap) - float(np.min(L)) / mu + 1.0))
-        return SmoothedOracleOutput(
-            value=float(q @ L), weights=q, lam=lam, penalty_value=0.0, support=None
-        )
+        return ReferenceWeights(value=float(q @ L), weights=q, lam=lam, support=None)
 
     s = L / mu
     K = min(n, int(np.ceil(1.0 / cap)) + 1)
@@ -338,11 +342,10 @@ def scan_weights_entropic(losses, p: float, mu: float) -> SmoothedOracleOutput:
     plogq = n_capped * cap * log_cap + mass * np.log(mass / Z) + (mass / Z) * float(e @ d)
     penalty = max(float(np.log(n) + plogq), 0.0)
     lam = float(-mu * (log_rem[kstar] - T[kstar] + 1.0))
-    return SmoothedOracleOutput(
+    return ReferenceWeights(
         value=float(q @ L - mu * penalty),
         weights=q,
         lam=lam,
-        penalty_value=penalty,
         support=nonzero_support(q),
     )
 

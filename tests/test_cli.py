@@ -1234,6 +1234,11 @@ class TestScriptability:
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == "[]"
 
+    def test_package_runs_as_a_module(self):
+        run = run_python("-m", "tailopt", "--help")
+        assert run.returncode == 0, run.stderr
+        assert "{gen-data,train,eval,experiment}" in run.stdout
+
     def test_stdout_is_json_only_in_subprocess(self, tmp_path):
         data, _ = write_consistent_csv(tmp_path)
         train = run_module(

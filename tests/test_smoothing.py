@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tailopt.core import Dataset, EvaluationError, RiskParams, check_dual_weights
+from tailopt.core import Dataset, DualWeights, EvaluationError, RiskParams, check_dual_weights
 from tailopt.models import LinearLeastSquares
 import tailopt.smoothing
 from tailopt.smoothing import (
@@ -69,6 +69,28 @@ def dual_value(out) -> float:
     return out.value - out.lam * (float(out.weights.sum()) - 1.0)
 
 
+def penalty_at(q, penalty: str) -> float:
+    """The penalty d(q) alone: minus the penalized objective at zero losses, mu = 1."""
+    return -penalized_objective(q, np.zeros(len(q)), 1.0, penalty)
+
+
+def euclidean_multiplier(L, p: float, mu: float) -> float:
+    """A root of the Euclidean dual derivative, by bisection on ``theta_prime``
+    down to adjacent floats; where theta' is zero on an interval, every point of
+    it gives the same clipped weights."""
+    u = np.asarray(L, dtype=float) + mu / len(L)
+    cap = 1.0 / (len(L) * (1.0 - p))
+    lo, hi = float(u.min()) - mu * cap - 1.0, float(u.max()) + 1.0  # theta' < 0, > 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if theta_prime(mid, L, p, mu) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
 LEVELS = st.sampled_from([0.0, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0 - 1e-9])
 SCALES = st.sampled_from([1e-3, 0.1, 1.0, 1e3])
 
@@ -91,17 +113,20 @@ def random_instance(rng, n_max=20):
 class TestEuclideanSubroutine:
     def test_two_point_worked_example(self):
         out = smoothed_weights_euclidean([0.0, 1.0], 0.5, 1.0)
-        assert out.lam == pytest.approx(0.5, abs=1e-12)
+        lam = euclidean_multiplier([0.0, 1.0], 0.5, 1.0)
+        assert lam == pytest.approx(0.5, abs=1e-12)
+        # The weights are the clip of (u - lam)/mu, u = L + mu/n, at that root.
+        assert np.allclose(out.weights, np.clip([0.5 - lam, 1.5 - lam], 0.0, 1.0), atol=1e-12)
         assert np.allclose(out.weights, [0.0, 1.0], atol=1e-12)
         assert out.value == pytest.approx(0.75, abs=1e-12)
-        assert out.penalty_value == pytest.approx(0.25, abs=1e-12)
+        assert penalty_at(out.weights, "euclidean") == pytest.approx(0.25, abs=1e-12)
 
     def test_equal_losses_give_uniform(self):
         for p in [0.0, 0.4, 0.9]:
             for mu in [1e-3, 1.0, 1000.0]:
                 out = smoothed_weights_euclidean([3.0] * 6, p, mu)
                 assert np.allclose(out.weights, 1.0 / 6, atol=1e-12)
-                assert out.penalty_value == pytest.approx(0.0, abs=1e-15)
+                assert penalty_at(out.weights, "euclidean") == pytest.approx(0.0, abs=1e-15)
 
     def test_p_zero_short_circuits_to_uniform(self):
         out = smoothed_weights_euclidean([5.0, -2.0, 1.0], 0.0, 0.5)
@@ -123,9 +148,10 @@ class TestEuclideanSubroutine:
             n = L.size
             cap = 1.0 / (n * (1.0 - p))
             check_dual_weights(out.weights, cap, sum_tol=1e-8)
-            # Stationarity: the weights are the clipped dual solution at lam.
+            # Stationarity: the weights are the clipped dual solution at the
+            # root of theta', found here by bisection, apart from the routine.
             u = L + mu / n
-            recon = np.clip((u - out.lam) / mu, 0.0, cap)
+            recon = np.clip((u - euclidean_multiplier(L, p, mu)) / mu, 0.0, cap)
             assert np.max(np.abs(out.weights - recon)) <= 1e-8
 
     def test_value_identity(self):
@@ -133,7 +159,7 @@ class TestEuclideanSubroutine:
         for _ in range(100):
             L, p, mu = random_instance(rng)
             out = smoothed_weights_euclidean(L, p, mu)
-            direct = float(out.weights @ L - mu * out.penalty_value)
+            direct = penalized_objective(out.weights, L, mu, "euclidean")
             assert out.value == pytest.approx(direct, rel=1e-9, abs=1e-12)
 
     def test_value_accurate_to_rounding_at_small_mu(self):
@@ -149,18 +175,6 @@ class TestEuclideanSubroutine:
                 out = smoothed_weights_euclidean(L, 0.9, 1e-3)
                 exact = exact_euclidean_value(L, 0.9, 1e-3)
                 assert abs(float(Fraction(out.value) - exact)) <= 4 * np.spacing(out.value)
-
-    def test_root_bracketed_by_breakpoints(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            L, p, mu = random_instance(rng)
-            if p == 0.0:
-                continue
-            out = smoothed_weights_euclidean(L, p, mu)
-            u = L + mu / (L.size * (1.0 - p)) * 0 + mu / L.size
-            cap = 1.0 / (L.size * (1.0 - p))
-            bps = np.concatenate([u, u - mu * cap])
-            assert bps.min() - 1e-9 <= out.lam <= bps.max() + 1e-9
 
     def test_uniform_contraction_at_large_mu(self):
         rng = np.random.default_rng(4)
@@ -296,7 +310,7 @@ class TestEntropicSubroutine:
         for p in [0.0, 0.4, 0.9]:
             out = smoothed_weights_entropic([2.0] * 5, p, 0.7)
             assert np.allclose(out.weights, 0.2, atol=1e-12)
-            assert out.penalty_value == pytest.approx(0.0, abs=1e-12)
+            assert penalty_at(out.weights, "entropic") == pytest.approx(0.0, abs=1e-12)
 
     def test_p_zero_short_circuits_to_uniform(self):
         out = smoothed_weights_entropic([9.0, -3.0, 0.5, 1.0], 0.0, 2.0)
@@ -347,7 +361,7 @@ class TestEntropicSubroutine:
         for _ in range(100):
             L, p, mu = random_instance(rng)
             out = smoothed_weights_entropic(L, p, mu)
-            direct = float(out.weights @ L - mu * out.penalty_value)
+            direct = penalized_objective(out.weights, L, mu, "entropic")
             assert out.value == pytest.approx(direct, rel=1e-9, abs=1e-12)
 
     def test_penalty_nonnegative(self):
@@ -355,7 +369,7 @@ class TestEntropicSubroutine:
         for _ in range(100):
             L, p, mu = random_instance(rng)
             out = smoothed_weights_entropic(L, p, mu)
-            assert out.penalty_value >= 0.0
+            assert penalty_at(out.weights, "entropic") >= 0.0
 
     def test_bitwise_deterministic(self):
         L = np.random.default_rng(10).standard_normal(30)
@@ -456,15 +470,10 @@ class TestEntropicScanReference:
         got, want = smoothed_weights_entropic(L, p, mu), scan_weights_entropic(L, p, mu)
         assert got.weights.tobytes() == want.weights.tobytes()
         assert got.value == want.value
-        assert got.penalty_value == want.penalty_value
         if want.support is None:
             assert got.support is None
         else:
             assert np.array_equal(got.support, want.support)
-        # lam = -mu * (log_rem - T + 1) cancels when its terms nearly balance,
-        # so a rounding change in T is relative to mu times the size of L/mu.
-        scale = max(1.0, float(np.abs(L).max()) / mu)
-        assert abs(got.lam - want.lam) <= 1e-14 * max(abs(want.lam), mu * scale)
 
     def test_lost_cap_count_raises_evaluation_error(self, monkeypatch):
         monkeypatch.setattr(
@@ -502,6 +511,7 @@ class TestSupport:
             smoothed_weights_entropic(L, p, mu),
         ]
         for out in outputs:
+            assert isinstance(out, DualWeights)
             nonzero = np.flatnonzero(out.weights)
             if nonzero.size == L.size:
                 assert out.support is None

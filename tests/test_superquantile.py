@@ -34,6 +34,21 @@ def random_losses(rng, n=None, ties=False):
     return L
 
 
+def tie_count(L, p, out) -> int:
+    """Check the exact weights against the public quantile qv = quantile(L, p):
+    the cap above qv, 0 below, and an even share of the rest for the samples
+    tied with qv.  Returns how many samples are tied with qv."""
+    L = np.asarray(L, dtype=float)
+    qv = quantile(L, p)
+    cap = 1.0 / (L.size * (1.0 - p))
+    assert np.all(out.weights[L > qv] == cap)
+    assert np.all(out.weights[L < qv] == 0.0)
+    tied = out.weights[L == qv]
+    assert np.all(tied == tied[0])
+    assert tied.sum() == pytest.approx(1.0 - cap * np.count_nonzero(L > qv), abs=1e-12)
+    return tied.size
+
+
 class TestQuantile:
     def test_four_point_median(self):
         assert quantile([1.0, 2.0, 3.0, 4.0], 0.5) == 2.0
@@ -153,14 +168,14 @@ class TestExactSubgradientWeights:
         out = exact_subgradient_weights([1.0, 2.0, 3.0, 4.0], 0.5)
         assert np.allclose(out.weights, [0.0, 0.0, 0.5, 0.5])
         assert out.value == pytest.approx(3.5)
-        assert out.quantile == 2.0
-        assert out.tie_set_size == 1
+        assert quantile([1.0, 2.0, 3.0, 4.0], 0.5) == 2.0
+        assert tie_count([1.0, 2.0, 3.0, 4.0], 0.5, out) == 1
 
     def test_all_equal_gives_uniform(self):
         for p in [0.0, 0.3, 0.9]:
             out = exact_subgradient_weights([7.0] * 5, p)
             assert np.allclose(out.weights, 0.2)
-            assert out.tie_set_size == 5
+            assert tie_count([7.0] * 5, p, out) == 5
 
     # In the four-point example at p = 0.5, position 0 has weight 0 and
     # position 3 the cap; 0 * -inf in the dot must raise with no warning.
@@ -190,7 +205,8 @@ class TestExactSubgradientWeights:
         L = np.array([2.0, 0.5, 7.0, 0.5, 3.0])
         out = exact_subgradient_weights(L, 0.0)
         assert np.array_equal(out.weights, np.full(5, 1.0 / 5)) and out.support is None
-        assert (out.value, out.quantile, out.tie_set_size) == (float(np.full(5, 0.2) @ L), 0.5, 2)
+        assert out.value == float(np.full(5, 0.2) @ L)
+        assert quantile(L, 0.0) == 0.5 and tie_count(L, 0.0, out) == 2
 
     def test_weights_feasible_and_attain_superquantile(self):
         rng = np.random.default_rng(7)
